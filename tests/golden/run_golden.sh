@@ -4,16 +4,17 @@
 # --threads=4 (the engine's thread-invariance guarantee, enforced).
 #
 # These CSVs are the repo's refactor oracle: structural changes to the
-# request loop must not move a single byte of simulator output. The PR 6
-# decision-kernel split (sim/run_loop.h -> sim/decision.h, reused by the
-# live proxy daemon in src/server/) was landed against exactly this
-# harness — if you are refactoring the sim/serve path, run these first.
+# request loop must not move a single byte of simulator output. If you
+# are refactoring the sim/serve path, run these first.
 #
 # usage: run_golden.sh BENCH_BINARY GOLDEN_CSV [EXTRA_BENCH_FLAGS...]
 #
-# To regenerate a golden after a *documented* trace-affecting change
-# (e.g. a ROADMAP-noted sampler update), see docs/PERF.md — in short:
-#   BENCH_BINARY --quick --threads=1 --csv=tests/golden/<name>.csv
+# The golden must be committed: inside a git work tree an untracked CSV
+# is rejected, so a locally generated file can never stand in for the
+# oracle. To regenerate a golden after a *documented* trace-affecting
+# change, build the parent commit and run its bench with the flags the
+# ctest passes (see docs/PERF.md, "Golden CSVs"):
+#   BENCH_BINARY --quick --threads=1 --csv=tests/golden/<name>.csv [FLAGS...]
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -25,9 +26,17 @@ golden=$2
 shift 2
 
 if [ ! -f "$golden" ]; then
-  echo "error: golden file $golden does not exist (generate it with" >&2
-  echo "  $bin --quick --threads=1 --csv=$golden)" >&2
+  echo "error: golden not committed: $golden does not exist" >&2
   exit 1
+fi
+
+golden_dir=$(dirname "$golden")
+if git -C "$golden_dir" rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  if ! git -C "$golden_dir" ls-files --error-unmatch "$(basename "$golden")" \
+      > /dev/null 2>&1; then
+    echo "error: golden not committed: $golden is not tracked by git" >&2
+    exit 1
+  fi
 fi
 
 tmp=$(mktemp -d)
@@ -42,7 +51,7 @@ for threads in 1 4; do
     exit 1
   }
   if ! cmp -s "$golden" "$out"; then
-    echo "golden-CSV mismatch: $bin --quick --threads=$threads" >&2
+    echo "golden-CSV mismatch: $bin --quick --threads=$threads $*" >&2
     echo "  golden: $golden" >&2
     echo "  first differing lines:" >&2
     diff "$golden" "$out" | head -20 >&2 || true
