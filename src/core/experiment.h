@@ -73,9 +73,7 @@ struct AveragedMetrics {
 
 struct ExperimentConfig {
   workload::WorkloadConfig workload{};
-  /// Per-simulation knobs: component specs, capacity, extensions, and
-  /// sim::SimulationConfig::monomorphize (set `sim.monomorphize =
-  /// false` to force the virtual-dispatch regression oracle).
+  /// Per-simulation knobs: component specs, capacity, extensions.
   sim::SimulationConfig sim{};
   /// Independent replications; the paper averages ten runs per point.
   std::size_t runs = 10;
@@ -87,12 +85,6 @@ struct ExperimentConfig {
   /// (util::ThreadPool::default_threads()), 1 = inline serial, else a
   /// dedicated pool of that size.
   std::size_t threads = 0;
-  /// Build one immutable net::PathModel per replication and share it
-  /// across every sweep cell (means depend only on the replication seed;
-  /// see docs/PERF.md). `false` rebuilds the model inside every
-  /// simulation — bit-identical results, only slower; kept as a
-  /// regression-test oracle and diagnostic escape hatch.
-  bool share_path_models = true;
   /// How per-(alpha, run) workloads reach the simulations: materialized
   /// request vectors (O(num_requests) memory each) or regenerating
   /// streams (O(stream_chunk) memory; each simulation re-derives the

@@ -117,7 +117,7 @@ Tables make_builtins() {
 
   // ---- policies ---------------------------------------------------------
   // Constructed directly as UtilityPolicy instantiations — the same
-  // types the monomorphized dispatch table (sim/arena.h) caches.
+  // types the kernel engines of the dispatch table (sim/arena.h) cache.
   const auto simple_policy = [](auto kernel_tag) {
     using Kernel = decltype(kernel_tag);
     return [](const util::Spec&, const PolicyContext& ctx)

@@ -1,6 +1,7 @@
 #include "core/sweep.h"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -51,15 +52,11 @@ RunOutcome extract_outcome(const sim::SimulationResult& r) {
 /// One simulation over an already-built request stream. A pure function
 /// of (stream, seeds, config): safe to run from any thread in any order
 /// (cursors carry all iteration state, so concurrent simulations can
-/// share one stream). `path_model` may be null, in which case the
-/// engine draws its own (bit-identical by the PathModel RNG-snapshot
-/// contract). `arena` is the executing worker's private engine cache:
-/// the monomorphized path reuses its components and run state across
-/// every simulation the worker executes (`sim_config.path_config.mode`
-/// was already resolved against the scenario by SweepRunner::run).
-/// Out-of-table specs and monomorphize == false take the
-/// virtual-fallback Simulator, fresh construction per simulation,
-/// exactly as before arenas existed.
+/// share one stream). `arena` is the executing worker's private engine
+/// cache: the engine reuses its components and run state across every
+/// simulation the worker executes (`sim_config.path_config.mode` was
+/// already resolved against the scenario by SweepRunner::run). A fleet
+/// cell runs the same engine with its fleet couplings attached.
 RunOutcome simulate_one(const workload::RequestStream& stream,
                         const Scenario& scenario,
                         const sim::SimulationConfig& sim_config,
@@ -67,44 +64,25 @@ RunOutcome simulate_one(const workload::RequestStream& stream,
                         std::shared_ptr<const net::PathModel> path_model,
                         sim::SimulationArena& arena,
                         const fleet::FleetConfig* fleet_config) {
-  if (fleet_config != nullptr) {
-    // Fleet cells run the sequential multi-proxy loop (fleet/fleet.h):
-    // one shared-uplink pass per replication, same shared stream and
-    // path model, seeds derived exactly as below.
-    sim::SimulationConfig config = sim_config;
-    config.seed = path_seed;
-    const fleet::FleetResult fr = fleet::run_fleet(
-        stream, *fleet_config, config, std::move(path_model), &scenario.base,
-        &scenario.ratio);
-    RunOutcome out = extract_outcome(fr.aggregate);
-    out.uplink_utilization = fr.uplink_utilization;
-    out.load_imbalance = fr.load_imbalance;
-    out.peer_hit_ratio = fr.peer_hit_ratio;
-    return out;
-  }
-  if (sim_config.monomorphize) {
-    if (sim::MonoEngineBase* engine =
-            sim::acquire_mono_engine(arena, sim_config)) {
-      sim::MonoRunContext context;
-      context.stream = &stream;
-      context.model = std::move(path_model);
-      context.base = &scenario.base;
-      context.ratio = &scenario.ratio;
-      context.config = &sim_config;
-      context.seed = path_seed;
-      return extract_outcome(engine->run(context));
-    }
-  }
-  sim::SimulationConfig config = sim_config;
-  config.seed = path_seed;
-  config.monomorphize = false;  // the dispatch decision was already made
-  sim::SimulationResult r;
-  if (path_model != nullptr) {
-    r = sim::Simulator(stream, std::move(path_model), config).run();
-  } else {
-    r = sim::Simulator(stream, scenario.base, scenario.ratio, config).run();
-  }
-  return extract_outcome(r);
+  std::optional<fleet::FleetRun> fleet_run;
+  if (fleet_config != nullptr) fleet_run.emplace(*fleet_config, path_seed);
+  sim::MonoRunContext context;
+  context.stream = &stream;
+  context.model = std::move(path_model);
+  context.base = &scenario.base;
+  context.ratio = &scenario.ratio;
+  context.config = &sim_config;
+  context.seed = path_seed;
+  context.fleet = fleet_run.has_value() ? &*fleet_run : nullptr;
+  sim::SimulationResult r =
+      sim::acquire_mono_engine(arena, sim_config)->run(context);
+  if (!fleet_run.has_value()) return extract_outcome(r);
+  const fleet::FleetResult fr = fleet_run->finish(std::move(r));
+  RunOutcome out = extract_outcome(fr.aggregate);
+  out.uplink_utilization = fr.uplink_utilization;
+  out.load_imbalance = fr.load_imbalance;
+  out.peer_hit_ratio = fr.peer_hit_ratio;
+  return out;
 }
 
 /// The per-replication seed stream, identical to the original serial
@@ -279,12 +257,10 @@ std::vector<AveragedMetrics> SweepRunner::run(
 
   // One immutable path model per replication, shared by every cell: the
   // per-path mean draws depend only on (base_seed, r) and the scenario,
-  // never on the cell's policy, alpha, or cache fraction. A disabled
-  // toggle leaves the vector null and every simulation draws its own —
-  // bit-identical by construction (regression-tested in test_sweep.cpp).
-  const bool share_models = base_.share_path_models;
-  std::vector<std::shared_ptr<const net::PathModel>> path_models(
-      share_models ? runs : 0);
+  // never on the cell's policy, alpha, or cache fraction — bit-identical
+  // to every simulation drawing its own (regression-tested in
+  // test_sweep.cpp).
+  std::vector<std::shared_ptr<const net::PathModel>> path_models(runs);
   net::PathModelConfig path_config = base_.sim.path_config;
   path_config.mode = scenario_.mode;
   const std::size_t n_paths = fixed != nullptr
@@ -311,7 +287,7 @@ std::vector<AveragedMetrics> SweepRunner::run(
 
   std::vector<RunOutcome> outcomes(cells.size() * runs);
   // One simulation arena per worker slot: each worker caches the
-  // monomorphized engines (and their reusable event queue / store /
+  // engines (and their reusable event queue / store /
   // heap / estimator state) for the spec pairs it executes, so
   // steady-state sweep allocations are O(workers x distinct specs), not
   // O(cells x replications).
@@ -325,9 +301,9 @@ std::vector<AveragedMetrics> SweepRunner::run(
     const workload::RequestStream& stream =
         fixed != nullptr ? *fixed : *streams[alpha_of_cell[c] * runs + r];
     const auto start = std::chrono::steady_clock::now();
-    outcomes[task] = simulate_one(
-        stream, scenario_, sims[c], path_seeds[r],
-        share_models ? path_models[r] : nullptr, arena, fleets[c].get());
+    outcomes[task] =
+        simulate_one(stream, scenario_, sims[c], path_seeds[r],
+                     path_models[r], arena, fleets[c].get());
     if (!sim_wall.empty()) {
       sim_wall[task] = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
@@ -360,8 +336,7 @@ std::vector<AveragedMetrics> SweepRunner::run(
 
   if (stats != nullptr) {
     stats->workloads_generated = streams.size();
-    stats->path_models_built =
-        share_models ? runs : cells.size() * runs;
+    stats->path_models_built = path_models.size();
     stats->sim_wall_s = std::move(sim_wall);
   }
 

@@ -71,8 +71,8 @@ struct SweepStats {
   /// ExperimentConfig::streaming (0 under a trace scenario, which
   /// shares one immutable stream across the grid).
   std::size_t workloads_generated = 0;
-  /// Immutable net::PathModel instances built: one per replication when
-  /// sharing (the default), one per simulation otherwise.
+  /// Immutable net::PathModel instances built: one per replication,
+  /// shared by every cell.
   std::size_t path_models_built = 0;
   /// Wall-clock seconds of each individual simulation, indexed by the
   /// deterministic (cell * runs + replication) task slot regardless of
@@ -90,7 +90,7 @@ class SweepRunner {
 
   /// Evaluate every cell; result[i] corresponds to cells[i]. Workloads
   /// are shared across cells per (alpha, replication) and path models
-  /// per replication (unless base.share_path_models is off); execution
+  /// per replication (see docs/PERF.md); execution
   /// uses base.parallel/base.threads (threads == 0 -> the process-wide
   /// shared pool, threads == 1 -> inline serial). `stats`, when given,
   /// receives construction counts for perf records.

@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/registry.h"
-#include "sim/run_loop.h"
+#include "sim/arena.h"
+#include "util/rng.h"
 #include "util/spec.h"
 
 namespace sc::fleet {
@@ -72,323 +72,18 @@ std::string FleetConfig::to_string() const {
   return out;
 }
 
-FleetResult run_fleet(const workload::RequestStream& stream,
-                      const FleetConfig& fleet,
-                      const sim::SimulationConfig& config,
-                      std::shared_ptr<const net::PathModel> path_model,
-                      const stats::EmpiricalDistribution* base,
-                      const stats::EmpiricalDistribution* ratio) {
-  const std::size_t n = fleet.proxies;
-  if (n == 0) throw std::invalid_argument("run_fleet: proxies == 0");
-  if (stream.num_requests() == 0) {
-    throw std::invalid_argument("run_fleet: empty request trace");
-  }
-  if (config.cache_capacity_bytes < 0) {
-    throw std::invalid_argument("run_fleet: negative cache capacity");
-  }
-  if (path_model == nullptr && (base == nullptr || ratio == nullptr)) {
-    throw std::invalid_argument("run_fleet: null path model");
-  }
+FleetRun::FleetRun(const FleetConfig& fleet, std::uint64_t run_seed)
+    : config(&fleet),
+      uplink(fleet.uplink_mbps * 125000.0, fleet.burst_mb * 1.0e6),
+      coop(fleet.coop && fleet.proxies > 1),
+      per_proxy(fleet.proxies) {
+  sharder.compile(fleet.sharding, fleet.proxies,
+                  util::Rng(run_seed).fork("sharding").seed());
+}
 
-  const workload::Catalog& catalog = stream.catalog();
-  const std::size_t total_requests = stream.num_requests();
-  const std::size_t n_objects = catalog.size();
-  const workload::CatalogView view = catalog.view();
-
-  // Root RNG and path model exactly as sim::Simulator::run_fallback —
-  // every fork below is tag-keyed (const), so fork order cannot perturb
-  // any stream and the N == 1 inertness oracle holds.
-  util::Rng rng(config.seed);
-  std::shared_ptr<const net::PathModel> model = std::move(path_model);
-  if (model == nullptr) {
-    model = std::make_shared<const net::PathModel>(
-        n_objects, *base, *ratio, config.path_config, rng.fork("paths"));
-  }
-  for (std::size_t i = 0; i < view.size; ++i) {
-    if (view.path[i] >= model->size()) {
-      throw std::out_of_range("run_fleet: object path id " +
-                              std::to_string(view.path[i]) +
-                              " outside the path model");
-    }
-  }
-  net::PathSampler paths(model);
-  const bool constant_bw = model->mode() == net::VariationMode::kConstant;
-  const double* path_means = model->means().data();
-
-  // Per-proxy decision machinery: each proxy is a full copy of the
-  // single-cell stack (store + policy + estimator + observation queue +
-  // kernel), built through the registry. Proxy 0's estimator stream is
-  // the single-cell tag ("estimator"); peers get distinct tag-keyed
-  // streams so replications stay independent across the fleet.
-  const double per_proxy_capacity =
-      config.cache_capacity_bytes / static_cast<double>(n);
-  std::vector<std::unique_ptr<net::BandwidthEstimator>> estimators;
-  std::vector<std::unique_ptr<cache::CachePolicy>> policies;
-  std::vector<cache::PartialStore> stores;
-  std::vector<sim::ObservationQueue> events(n);
-  estimators.reserve(n);
-  policies.reserve(n);
-  stores.reserve(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    std::string tag = "estimator";
-    if (p > 0) tag += "#" + std::to_string(p);
-    estimators.push_back(core::registry::make_estimator(
-        config.estimator, *model, rng.fork(tag)));
-    policies.push_back(core::registry::make_policy(config.policy, catalog,
-                                                   *estimators[p]));
-    stores.emplace_back(per_proxy_capacity);
-    stores[p].reserve(n_objects);
-    events[p].reserve(64);
-  }
-  using Kernel = sim::DecisionKernel<cache::CachePolicy,
-                                     net::BandwidthEstimator>;
-  std::vector<Kernel> kernels;
-  kernels.reserve(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    kernels.emplace_back(*policies[p], *estimators[p], stores[p], events[p]);
-  }
-  const bool estimator_observes = kernels[0].observes();
-
-  // Scoped fault schedules: every proxy compiles the same plan from the
-  // same tag-keyed seed (identical timing), but for its own
-  // FaultScope{proxy, region} — a window tagged @region0 survives
-  // compilation only on region 0's proxies.
-  std::vector<net::FaultSchedule> fault_store;
-  const bool have_faults = !config.fault.empty();
-  if (have_faults) {
-    const std::uint64_t fault_seed = rng.fork("faults").seed();
-    fault_store.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-      fault_store[p].compile(
-          config.fault, model->size(), fault_seed,
-          net::FaultScope{static_cast<std::uint32_t>(p), fleet.region_of(p)});
-      kernels[p].set_faults(&fault_store[p]);
-    }
-  }
-
-  sim::MetricsCollector metrics;
-  const auto warm_count = static_cast<std::size_t>(
-      static_cast<double>(total_requests) * config.warmup_fraction);
-
-  const bool interactive = config.interactivity.enabled();
-  if (interactive && config.viewing.enabled) {
-    throw std::invalid_argument(
-        "run_fleet: ViewingConfig and a non-full interactivity model "
-        "cannot be combined; use the interactivity spec alone");
-  }
-  util::Rng viewing_rng = rng.fork("viewing");
-  util::Rng session_rng = rng.fork("session");
-
-  sim::DeliveryTable pre;
-  build_delivery_table(view, constant_bw ? path_means : nullptr, pre);
-
-  std::vector<std::vector<sim::InFlightStream>> in_flight;
-  if (config.patching.enabled) {
-    in_flight.assign(n, std::vector<sim::InFlightStream>(n_objects));
-  }
-
-  // The fleet couplings, each inert by flag: routing (n == 1 pins proxy
-  // 0 before the sharder is consulted), the shared uplink bucket
-  // (uplink_mbps == 0), and peer cooperation (coop == 0).
-  Sharder sharder;
-  sharder.compile(fleet.sharding, n, rng.fork("sharding").seed());
-  UplinkBucket uplink(fleet.uplink_mbps * 125000.0, fleet.burst_mb * 1.0e6);
-  const bool uplink_on = uplink.enabled();
-  const bool coop = fleet.coop && n > 1;
-
-  std::vector<ProxyStats> per_proxy(n);
-  double t_first = 0.0;
-  double t_last = 0.0;
-
-  workload::RequestCursor cursor;
-  cursor.bind(stream, config.stream_chunk);
-  while (const workload::RequestBlock* block = cursor.next()) {
-    for (std::size_t i = 0; i < block->size; ++i) {
-      const std::size_t idx = block->first + i;
-      const double now_s = block->time_s[i];
-      if (idx == 0) t_first = now_s;
-      t_last = now_s;
-
-      const workload::ObjectId id = block->object[i];
-      const std::uint32_t p = n > 1 ? sharder.proxy_for(idx, id) : 0;
-      Kernel& decisions = kernels[p];
-      decisions.tick(now_s);
-
-      const double duration_s = view.duration_s[id];
-      const double bitrate = view.bitrate[id];
-      const double size_bytes = view.size_bytes[id];
-      double bw, db;
-      if (constant_bw) {
-        bw = pre.bw[id];
-        db = pre.db[id];
-      } else {
-        bw = paths.sample_bandwidth(view.path[id], now_s);
-        db = duration_s * bw;
-      }
-      double fault_scale = 1.0;
-      if (have_faults) {
-        fault_scale = fault_store[p].bandwidth_scale(view.path[id], now_s);
-        if (fault_scale > 0.0 && fault_scale != 1.0) {
-          bw *= fault_scale;
-          db = duration_s * bw;
-        }
-      }
-      const double cached_before = decisions.cached(id);
-      double request_bytes = size_bytes;
-      sim::ServiceOutcome outcome;
-      if (fault_scale > 0.0) {
-        outcome = sim::deliver_precomputed(size_bytes, pre.dr[id], db, bw,
-                                           cached_before);
-      } else {
-        outcome = sim::deliver_cache_only(size_bytes, cached_before);
-      }
-
-      double viewed_fraction = 1.0;
-      double session_s = duration_s;
-      if (interactive) {
-        viewed_fraction = sim::sample_viewed_fraction(
-            config.interactivity, duration_s, block->view_s[i], session_rng);
-        if (viewed_fraction < 1.0) {
-          session_s = viewed_fraction * duration_s;
-          const double viewed_bytes = session_s * bitrate;
-          request_bytes = viewed_bytes;
-          if (fault_scale > 0.0) {
-            outcome = sim::deliver(session_s, bitrate, viewed_bytes, bw,
-                                   std::min(cached_before, viewed_bytes));
-          } else {
-            outcome = sim::deliver_cache_only(
-                viewed_bytes, std::min(cached_before, viewed_bytes));
-          }
-        }
-      }
-
-      if (config.viewing.enabled) {
-        double fraction = 1.0;
-        if (viewing_rng.uniform() >= config.viewing.complete_probability) {
-          fraction = viewing_rng.uniform(config.viewing.min_fraction, 1.0);
-        }
-        const double viewed = fraction * size_bytes;
-        request_bytes = viewed;
-        outcome.bytes_from_cache = std::min(outcome.bytes_from_cache, viewed);
-        outcome.bytes_from_origin =
-            fault_scale > 0.0
-                ? std::max(0.0, viewed - outcome.bytes_from_cache)
-                : 0.0;
-        outcome.origin_transfer_s = outcome.bytes_from_origin > 0
-                                        ? outcome.bytes_from_origin / bw
-                                        : 0.0;
-      }
-
-      // Cooperation: the largest peer prefix extends this proxy's own —
-      // both are prefixes of the same object, so the peer contributes
-      // only the part beyond what the local cache already served. Peer
-      // bytes are backbone-free shared traffic (they never cross the
-      // uplink) at one peer hop of extra prefetch wait; startup
-      // immediacy is the local §2.2 outcome either way. Outages are not
-      // bypassed: a cache-only request has bytes_from_origin == 0.
-      double peer_extra = 0.0;
-      if (coop && outcome.bytes_from_origin > 0) {
-        double best = 0.0;
-        for (std::size_t q = 0; q < n; ++q) {
-          if (q == p) continue;
-          best = std::max(best, stores[q].cached(id));
-        }
-        peer_extra = std::min(outcome.bytes_from_origin,
-                              std::max(0.0, best - outcome.bytes_from_cache));
-        if (peer_extra > 0.0) {
-          outcome.bytes_shared += peer_extra;
-          outcome.bytes_from_origin -= peer_extra;
-          outcome.origin_transfer_s = outcome.bytes_from_origin > 0
-                                          ? outcome.bytes_from_origin / bw
-                                          : 0.0;
-          if (outcome.delay_s > 0.0) outcome.delay_s += fleet.peer_latency_s;
-        }
-      }
-
-      if (config.patching.enabled && outcome.bytes_from_origin > 0) {
-        sim::InFlightStream& flight = in_flight[p][id];
-        if (now_s < flight.end) {
-          const double remaining_shareable =
-              std::min(size_bytes, bitrate * (flight.end - now_s));
-          const double shared = std::min(outcome.bytes_from_origin,
-                                         std::max(0.0, remaining_shareable));
-          outcome.bytes_shared += shared;
-          outcome.bytes_from_origin -= shared;
-          outcome.origin_transfer_s = outcome.bytes_from_origin > 0
-                                          ? outcome.bytes_from_origin / bw
-                                          : 0.0;
-        }
-        if (outcome.bytes_from_origin > 0) {
-          flight.start = now_s;
-          flight.end = now_s + session_s;
-        }
-      }
-
-      // Shared finite uplink: what still has to cross the backbone
-      // drains the fleet-wide token bucket; a drained bucket queues the
-      // transfer, stretching it (and the throughput passive estimators
-      // observe) and delaying playout — the cross-proxy coupling.
-      if (uplink_on && outcome.bytes_from_origin > 0) {
-        const double wait_s = uplink.acquire(now_s, outcome.bytes_from_origin);
-        if (wait_s > 0.0) {
-          outcome.delay_s += wait_s;
-          outcome.immediate = false;
-          outcome.origin_transfer_s += wait_s;
-          outcome.origin_throughput =
-              outcome.bytes_from_origin / outcome.origin_transfer_s;
-        }
-      }
-
-      const bool measured = idx >= warm_count;
-      if (measured) {
-        metrics.record(outcome, view.value[id]);
-        ProxyStats& ps = per_proxy[p];
-        ++ps.requests;
-        if (cached_before > 0.0) ++ps.hits;
-        ps.origin_bytes += outcome.bytes_from_origin;
-        if (peer_extra > 0.0) {
-          ++ps.peer_assisted;
-          ps.peer_bytes += peer_extra;
-        }
-        if (have_faults && fault_scale <= 0.0) {
-          const double denied = request_bytes - outcome.bytes_from_cache;
-          metrics.record_denied(denied);
-          ++ps.denied_requests;
-          ps.denied_bytes += denied;
-        }
-        if (interactive) {
-          metrics.record_session(viewed_fraction, viewed_fraction < 1.0);
-        }
-      }
-
-      if (estimator_observes && outcome.bytes_from_origin > 0) {
-        decisions.record_transfer(view.path[id], outcome.origin_throughput,
-                                  now_s + outcome.origin_transfer_s);
-      }
-
-      if (fault_scale > 0.0) {
-        const double cached_after = decisions.admit(id, now_s);
-        if (measured && cached_after > cached_before) {
-          const double fill = cached_after - cached_before;
-          metrics.record_fill(fill);
-          per_proxy[p].fill_bytes += fill;
-        }
-      }
-    }
-  }
-  for (std::size_t p = 0; p < n; ++p) kernels[p].drain();
-
+FleetResult FleetRun::finish(sim::SimulationResult aggregate) {
   FleetResult result;
-  result.aggregate.policy_name = policies[0]->name();
-  result.aggregate.metrics = metrics;
-  result.aggregate.warmup_requests = warm_count;
-  result.aggregate.measured_requests = total_requests - warm_count;
-  for (std::size_t p = 0; p < n; ++p) {
-    result.aggregate.final_occupancy_bytes += stores[p].used();
-    result.aggregate.final_cached_objects += stores[p].object_count();
-    result.aggregate.estimator_overhead_packets +=
-        estimators[p]->overhead_packets();
-  }
+  result.aggregate = std::move(aggregate);
   result.per_proxy = std::move(per_proxy);
 
   std::uint64_t max_requests = 0;
@@ -401,17 +96,48 @@ FleetResult run_fleet(const workload::RequestStream& stream,
   }
   if (sum_requests > 0) {
     result.load_imbalance = static_cast<double>(max_requests) *
-                            static_cast<double>(n) /
+                            static_cast<double>(result.per_proxy.size()) /
                             static_cast<double>(sum_requests);
     result.peer_hit_ratio = static_cast<double>(peer_assisted) /
                             static_cast<double>(sum_requests);
   }
-  if (uplink_on && t_last > t_first) {
+  if (uplink.enabled() && t_last > t_first) {
     result.uplink_utilization =
         uplink.total_bytes() /
-        (fleet.uplink_mbps * 125000.0 * (t_last - t_first));
+        (config->uplink_mbps * 125000.0 * (t_last - t_first));
   }
   return result;
+}
+
+FleetResult run_fleet(const workload::RequestStream& stream,
+                      const FleetConfig& fleet,
+                      const sim::SimulationConfig& config,
+                      std::shared_ptr<const net::PathModel> path_model,
+                      const stats::EmpiricalDistribution* base,
+                      const stats::EmpiricalDistribution* ratio) {
+  if (fleet.proxies == 0) {
+    throw std::invalid_argument("run_fleet: proxies == 0");
+  }
+  if (stream.num_requests() == 0) {
+    throw std::invalid_argument("run_fleet: empty request trace");
+  }
+  if (config.cache_capacity_bytes < 0) {
+    throw std::invalid_argument("run_fleet: negative cache capacity");
+  }
+  if (path_model == nullptr && (base == nullptr || ratio == nullptr)) {
+    throw std::invalid_argument("run_fleet: null path model");
+  }
+  FleetRun run(fleet, config.seed);
+  sim::MonoRunContext context;
+  context.stream = &stream;
+  context.model = std::move(path_model);
+  context.base = base;
+  context.ratio = ratio;
+  context.config = &config;
+  context.seed = config.seed;
+  context.fleet = &run;
+  sim::SimulationArena arena;
+  return run.finish(sim::acquire_mono_engine(arena, config)->run(context));
 }
 
 }  // namespace sc::fleet

@@ -2,14 +2,16 @@
 // one origin (the ROADMAP's "edge-fleet scale" item).
 //
 // The paper evaluates a single cache in front of bottlenecked paths; its
-// deployment target is a CDN-style edge of many proxies. A fleet cell
-// instantiates N copies of the existing decision machinery — each proxy
-// wraps the clock-agnostic sim::DecisionKernel with its own byte-budget
-// cache::PartialStore, registry-built policy, and estimator — and routes
-// every request of the shared workload::RequestStream through a
-// client→proxy assignment layer (fleet/sharding.h). Three fleet-only
-// couplings sit on top, each flag-gated so a trivial fleet degenerates
-// to the single-cell simulator:
+// deployment target is a CDN-style edge of many proxies. A fleet cell is
+// N copies of the single-cell proxy — each a sim::DecisionKernel over
+// its own byte-budget cache::PartialStore, policy, and estimator — run
+// by the simulator's own request loop (sim/run_loop.h) on the same
+// engines (sim/arena.h), which routes every request of the shared
+// workload::RequestStream through a client→proxy assignment layer
+// (fleet/sharding.h). The loop takes the fleet-only state below as one
+// optional FleetRun argument; three couplings sit on top, each
+// flag-gated so a trivial fleet degenerates to the single-cell
+// simulator:
 //
 //   * Shared origin uplink: every proxy's misses drain one token bucket
 //     (`uplink_mbps` refill, `burst_mb` depth) layered over the §2.2
@@ -33,9 +35,9 @@
 // 10⁸-request fleet stays O(stream_chunk) in memory.
 //
 // Inertness oracle (tests/test_fleet.cpp): a single-proxy fleet with no
-// uplink, no cooperation, and an unscoped fault plan executes the exact
-// expression stream of sim/run_loop.h's virtual fallback — every field
-// of the aggregate result is identical.
+// uplink, no cooperation, and an unscoped fault plan executes the
+// single-cell expression stream of the same loop body — every field of
+// the aggregate result is identical to the standalone simulator's.
 #pragma once
 
 #include <algorithm>
@@ -160,12 +162,42 @@ struct FleetResult {
   double peer_hit_ratio = 0.0;
 };
 
+/// The fleet-only state of one pass of the request loop
+/// (sim::run_request_loop): request routing, the shared uplink bucket,
+/// cooperation, the scope each proxy compiles the fault plan for, and
+/// the per-proxy stats the loop accumulates. A null FleetRun is the
+/// single cell: faults compile for the standalone net::FaultScope{} and
+/// no per-proxy stats are kept.
+struct FleetRun {
+  /// `run_seed` is the run's root seed (SimulationConfig::seed); the
+  /// sharder draws from its tag-keyed "sharding" fork.
+  FleetRun(const FleetConfig& fleet, std::uint64_t run_seed);
+
+  const FleetConfig* config;
+  Sharder sharder;
+  UplinkBucket uplink;
+  /// Peer lookup on misses (FleetConfig::coop with more than one proxy).
+  bool coop;
+  std::vector<ProxyStats> per_proxy;
+  /// Arrival times of the first and last request (uplink utilization).
+  double t_first = 0.0;
+  double t_last = 0.0;
+
+  /// The cell's result: the loop's request-order `aggregate` plus the
+  /// per-proxy stats (moved out; call once) and the fleet diagnostics
+  /// derived from them.
+  [[nodiscard]] FleetResult finish(sim::SimulationResult aggregate);
+};
+
 /// Run one fleet cell over `stream`. `config` supplies the per-proxy
 /// component specs, the *aggregate* cache budget
 /// (cache_capacity_bytes / proxies per proxy), interactivity/viewing/
 /// patching extensions, the fault plan, and the run seed. `path_model`
 /// may be null, in which case the model is drawn from the seed exactly
 /// as sim::Simulator does (`base`/`ratio` must then be non-null).
+/// Builds a FleetRun and makes one engine call (sim/arena.h) on a
+/// run-local arena; core::SweepRunner does the same on its per-worker
+/// arenas.
 [[nodiscard]] FleetResult run_fleet(
     const workload::RequestStream& stream, const FleetConfig& fleet,
     const sim::SimulationConfig& config,

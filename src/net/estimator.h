@@ -13,8 +13,8 @@
 //                      compile time via Kernel::kUsesObservations.
 //   KernelEstimator<Kernel> - the virtual adapter implementing the
 //                      BandwidthEstimator boundary interface for the
-//                      fallback path and for user code that holds
-//                      estimators behind the interface. The familiar
+//                      registry, the live daemon, and user code that
+//                      holds estimators behind the interface. The familiar
 //                      class names (OracleEstimator, PassiveEwmaEstimator,
 //                      LastSampleEstimator, ActiveProbeEstimator) are
 //                      final adapters with their historical constructor

@@ -1,4 +1,4 @@
-// Per-worker simulation arenas and the monomorphized engine boundary.
+// Per-worker simulation arenas and the engine boundary.
 //
 // A sweep executes cells x replications simulations, and before this
 // layer existed every one of them re-allocated its setup state: the
@@ -9,21 +9,21 @@
 // once and reset()-reuse it across every simulation it executes.
 //
 // SimulationArena is that per-worker cache. It maps a
-// (policy spec, estimator spec) pair to a MonoEngineBase: a fully
-// *monomorphized* simulation engine whose request loop was instantiated
-// at compile time over the concrete (PolicyKernel, EstimatorKernel)
-// pair (see sim/run_loop.h), carrying its reusable RunState and
-// component objects. core::SweepRunner owns one arena per
-// util::ThreadPool worker slot and hands each simulation task its
-// worker's arena, driving steady-state sweep allocations from
-// O(cells x replications) to O(workers x distinct specs).
+// (policy spec, estimator spec) pair to a MonoEngineBase: a simulation
+// engine whose request loop (sim/run_loop.h) was instantiated at compile
+// time for the pair, carrying its reusable RunState and the components
+// of N proxies (one for the single cell, N for a fleet cell).
+// core::SweepRunner owns one arena per util::ThreadPool worker slot and
+// hands each simulation task its worker's arena, driving steady-state
+// sweep allocations from O(cells x replications) to O(workers x
+// distinct specs).
 //
-// The dispatch table behind acquire_mono_engine covers the registry's
-// built-in policy x estimator spec space (8 x 4). Out-of-table specs —
-// user-registered components — return nullptr and run on the virtual
-// fallback path (sim::Simulator's BandwidthEstimator / CachePolicy
-// interfaces), which is also kept as a bit-identity regression oracle
-// behind SimulationConfig::monomorphize = false.
+// acquire_mono_engine is the only dispatch: sim::Simulator,
+// fleet::run_fleet and core::SweepRunner all run through it. Built-in
+// pairs (the registry's 8 x 4 policy x estimator spec space) get a
+// kernel engine with every per-request call inlined; any other pair —
+// user-registered components — gets an engine over the virtual
+// CachePolicy / BandwidthEstimator interfaces, on the same loop body.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,13 @@
 
 #include "sim/simulator.h"
 
+namespace sc::fleet {
+struct FleetRun;
+}
+
 namespace sc::sim {
 
-/// Everything a monomorphized engine needs to execute one simulation.
+/// Everything an engine needs to execute one simulation.
 /// Strings and heavyweight state are referenced, not copied, so building
 /// a context allocates nothing.
 struct MonoRunContext {
@@ -55,20 +59,25 @@ struct MonoRunContext {
   /// replication.
   const SimulationConfig* config = nullptr;
   std::uint64_t seed = 0;
+  /// The fleet couplings of a fleet cell (fleet/fleet.h): the engine
+  /// runs fleet->config->proxies proxies, each with an even share of
+  /// `config->cache_capacity_bytes`, and the loop accumulates the
+  /// per-proxy stats into it. Null runs the single cell.
+  fleet::FleetRun* fleet = nullptr;
 };
 
-/// A compiled (policy kernel, estimator kernel) pair plus its reusable
-/// run state. run() rebinds the cached components to the context's
-/// workload/model/seed — bit-identical to constructing them fresh — and
-/// executes the monomorphized request loop. One virtual call per
-/// *simulation*; everything inside is inlined.
+/// A compiled (policy, estimator) pair plus its reusable run state.
+/// run() binds the components to the context's workload/model/seed —
+/// bit-identical to constructing them fresh — and executes the request
+/// loop. One virtual call per *simulation*; for built-in pairs
+/// everything inside is inlined.
 class MonoEngineBase {
  public:
   virtual ~MonoEngineBase() = default;
   [[nodiscard]] virtual SimulationResult run(const MonoRunContext& context) = 0;
 };
 
-/// Per-worker cache of monomorphized engines keyed by the *raw*
+/// Per-worker cache of engines keyed by the *raw*
 /// (policy, estimator) spec strings (so a steady-state lookup is a pair
 /// of string compares — no parsing, no hashing, no allocation). Not
 /// thread-safe: each worker owns its arena exclusively.
@@ -77,8 +86,6 @@ class SimulationArena {
   struct Slot {
     std::string policy;
     std::string estimator;
-    /// Null for negatively cached pairs (out-of-table specs), so the
-    /// fallback decision is also made once per arena, not per task.
     std::unique_ptr<MonoEngineBase> engine;
   };
 
@@ -105,16 +112,14 @@ class SimulationArena {
   std::vector<Slot> slots_;  // a handful of entries; linear scan
 };
 
-/// The monomorphized engine for `config`'s (policy, estimator) pair,
-/// cached in (or newly added to) `arena`; nullptr when the pair is not
-/// in the built-in dispatch table (caller must use the virtual fallback
-/// path). Throws util::SpecError on malformed specs, exactly like the
-/// registry factories.
+/// The engine for `config`'s (policy, estimator) pair, cached in (or
+/// newly added to) `arena`; never null. Throws util::SpecError on
+/// malformed specs, exactly like the registry factories.
 [[nodiscard]] MonoEngineBase* acquire_mono_engine(
     SimulationArena& arena, const SimulationConfig& config);
 
-/// Whether the (policy, estimator) pair of `config` is covered by the
-/// monomorphized dispatch table (test/diagnostic hook).
+/// Whether the (policy, estimator) pair of `config` gets a kernel engine
+/// rather than the virtual one (test/diagnostic hook).
 [[nodiscard]] bool mono_dispatchable(const SimulationConfig& config);
 
 }  // namespace sc::sim

@@ -15,10 +15,11 @@
 //     start, and tick() is called from real time so EWMA/probe
 //     estimators age on real seconds).
 //
-// The extraction is expression-for-expression identical to the fused
-// loop — the golden-CSV harness (tests/golden/) pins the simulator's
-// output byte-identically across it, and tests/test_decision.cpp covers
-// the kernel in isolation under an arbitrary (non-simulated) clock.
+// A fleet cell is N of these kernels driven by the same loop, one per
+// proxy. The golden-CSV harness (tests/golden/) pins the simulator's
+// and the fleet's output byte-identically, and tests/test_decision.cpp
+// covers the kernel in isolation under an arbitrary (non-simulated)
+// clock.
 #pragma once
 
 #include <limits>
@@ -56,11 +57,12 @@ struct ObservationTraits<
 };
 
 /// Non-owning view over one (policy, estimator, store, observation
-/// queue) quadruple. Instantiated with the concrete kernel types by the
-/// monomorphized engines (everything inlines) and with the virtual
-/// CachePolicy / BandwidthEstimator interfaces by the fallback simulator
-/// and the live proxy daemon (one indirect call per operation — fine off
-/// the 30M-requests/sec path).
+/// queue) quadruple — one proxy's decision machinery. Instantiated with
+/// the concrete kernel types by the built-in engines of
+/// sim/monomorphize.cpp (everything inlines), and with the virtual
+/// CachePolicy / BandwidthEstimator interfaces by the engine that runs
+/// user-registered components and by the live proxy daemon (one
+/// indirect call per operation — fine off the 30M-requests/sec path).
 ///
 /// All state lives in the referenced components; the kernel itself is a
 /// few pointers and is trivially copyable. Not thread-safe: concurrent
@@ -77,6 +79,8 @@ class DecisionKernel {
         events_(&events),
         observes_(ObservationTraits<Estimator>::uses(estimator)) {}
 
+  [[nodiscard]] Policy& policy() noexcept { return *policy_; }
+  [[nodiscard]] Estimator& estimator() noexcept { return *estimator_; }
   [[nodiscard]] cache::PartialStore& store() noexcept { return *store_; }
   [[nodiscard]] const cache::PartialStore& store() const noexcept {
     return *store_;

@@ -1,25 +1,36 @@
-// The monomorphized engine dispatch table (see sim/arena.h).
+// The engine dispatch table (see sim/arena.h): the only way a
+// simulation or a fleet cell reaches the request loop.
 //
-// One MonoEngine<PolicyKernel, EstimatorKernel> class template
-// instantiates the shared request loop (sim/run_loop.h) over every
-// built-in (policy, estimator) pair of the registry's spec space —
-// 8 policies x 4 estimators. Selection happens ONCE per simulation (one
-// virtual MonoEngineBase::run call); inside, estimate(), observe(),
-// uses_observations(), and the policy admission path are direct inlined
-// code.
+// One Engine<Components> class template instantiates the shared request
+// loop (sim/run_loop.h) over
 //
-// Bit-identity with the virtual fallback is a hard contract: engines
-// construct their components with exactly the parameter defaults and
-// RNG fork tags the registry factories use (core/registry.cpp), and the
-// loop body is shared, so tests/test_mono.cpp can assert field-identical
-// metrics for every pair.
+//   - KernelComponents<PolicyKernel, EstimatorKernel> for every built-in
+//     (policy, estimator) pair of the registry's spec space — 8 policies
+//     x 4 estimators. estimate(), observe(), uses_observations(), and
+//     the policy admission path are direct inlined code;
+//   - VirtualComponents for everything else (user-registered specs):
+//     registry-built components behind the virtual CachePolicy /
+//     BandwidthEstimator interfaces, on the same loop body.
+//
+// Selection happens ONCE per simulation (one virtual MonoEngineBase::run
+// call). An engine owns N proxies' components (one for the single
+// cell), so fleet cells run on the same kernels and reuse the same
+// per-worker arena.
+//
+// Bit-identity between the two kinds of engine is a hard contract:
+// kernel engines construct their components with exactly the parameter
+// defaults and RNG fork tags the registry factories use
+// (core/registry.cpp), and the loop body is shared, so
+// tests/test_mono.cpp can assert field-identical metrics for every pair.
 
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cache/policy.h"
+#include "fleet/fleet.h"
 #include "core/registry.h"
 #include "net/estimator.h"
 #include "net/probe.h"
@@ -43,9 +54,8 @@ template <>
 struct EstimatorTraits<net::OracleKernel> {
   struct Params {};
   static Params parse(const util::Spec&) { return {}; }
-  static void create(std::optional<net::KernelEstimator<net::OracleKernel>>& slot,
-                     const Params&, const net::PathModel& model, util::Rng) {
-    slot.emplace(model);
+  static auto create(const Params&, const net::PathModel& model, util::Rng) {
+    return std::make_unique<net::KernelEstimator<net::OracleKernel>>(model);
   }
   static void rebind(net::KernelEstimator<net::OracleKernel>& estimator,
                      const Params&, const net::PathModel& model, util::Rng) {
@@ -66,9 +76,9 @@ struct EstimatorTraits<net::EwmaKernel> {
         spec.get_double("prior_kbps", net::estimator_defaults::kPriorKbps));
     return p;
   }
-  static void create(std::optional<net::KernelEstimator<net::EwmaKernel>>& slot,
-                     const Params& p, const net::PathModel& model, util::Rng) {
-    slot.emplace(model.size(), p.alpha, p.prior);
+  static auto create(const Params& p, const net::PathModel& model, util::Rng) {
+    return std::make_unique<net::KernelEstimator<net::EwmaKernel>>(
+        model.size(), p.alpha, p.prior);
   }
   static void rebind(net::KernelEstimator<net::EwmaKernel>& estimator,
                      const Params&, const net::PathModel& model, util::Rng) {
@@ -87,10 +97,9 @@ struct EstimatorTraits<net::LastSampleKernel> {
         spec.get_double("prior_kbps", net::estimator_defaults::kPriorKbps));
     return p;
   }
-  static void create(
-      std::optional<net::KernelEstimator<net::LastSampleKernel>>& slot,
-      const Params& p, const net::PathModel& model, util::Rng) {
-    slot.emplace(model.size(), p.prior);
+  static auto create(const Params& p, const net::PathModel& model, util::Rng) {
+    return std::make_unique<net::KernelEstimator<net::LastSampleKernel>>(
+        model.size(), p.prior);
   }
   static void rebind(net::KernelEstimator<net::LastSampleKernel>& estimator,
                      const Params&, const net::PathModel& model, util::Rng) {
@@ -112,13 +121,13 @@ struct EstimatorTraits<net::ProbeKernel> {
         "interval_s", net::estimator_defaults::kProbeIntervalS);
     return p;
   }
-  static void create(std::optional<net::KernelEstimator<net::ProbeKernel>>& slot,
-                     const Params& p, const net::PathModel& model,
+  static auto create(const Params& p, const net::PathModel& model,
                      util::Rng rng) {
     // Identical fork tags to the registry's probe factory.
-    slot.emplace(std::make_unique<net::ProbeModel>(model.means(), p.config,
-                                                   rng.fork("probe")),
-                 p.interval_s, rng.fork("probe-rng"));
+    return std::make_unique<net::KernelEstimator<net::ProbeKernel>>(
+        std::make_unique<net::ProbeModel>(model.means(), p.config,
+                                          rng.fork("probe")),
+        p.interval_s, rng.fork("probe-rng"));
   }
   static void rebind(net::KernelEstimator<net::ProbeKernel>& estimator,
                      const Params& p, const net::PathModel& model,
@@ -133,14 +142,16 @@ struct EstimatorTraits<net::ProbeKernel> {
 /// Construct a policy engine, forwarding the `e` parameter only to the
 /// kernels that take one (Hybrid, PB-V) — mirroring cache::make_policy.
 template <typename PolKernel>
-void create_policy(std::optional<cache::UtilityPolicy<PolKernel>>& slot,
-                   const workload::Catalog& catalog,
-                   net::BandwidthEstimator& estimator, double e) {
+std::unique_ptr<cache::UtilityPolicy<PolKernel>> create_policy(
+    const workload::Catalog& catalog, net::BandwidthEstimator& estimator,
+    double e) {
   if constexpr (std::is_constructible_v<PolKernel, double>) {
-    slot.emplace(catalog, estimator, e);
+    return std::make_unique<cache::UtilityPolicy<PolKernel>>(catalog,
+                                                             estimator, e);
   } else {
     (void)e;
-    slot.emplace(catalog, estimator);
+    return std::make_unique<cache::UtilityPolicy<PolKernel>>(catalog,
+                                                             estimator);
   }
 }
 
@@ -162,12 +173,99 @@ struct MonoPolicyRef {
   [[nodiscard]] const std::string& name() const { return *cached_name; }
 };
 
+/// The RNG tag of proxy `p`'s estimator: the single-cell tag for proxy
+/// 0, distinct tag-keyed streams for its peers so replications stay
+/// independent across a fleet.
+std::string estimator_tag(std::size_t p) {
+  return p == 0 ? "estimator" : "estimator#" + std::to_string(p);
+}
+
+/// N proxies' components for a built-in (PolKernel, EstKernel) pair,
+/// kept across runs and rebound — bit-identical to constructing them
+/// fresh — so back-to-back simulations reuse every piece of storage.
 template <typename PolKernel, typename EstKernel>
-class MonoEngine final : public MonoEngineBase {
+class KernelComponents {
  public:
-  MonoEngine(const util::Spec& policy_spec, const util::Spec& estimator_spec)
+  using Policy = MonoPolicyRef<PolKernel, EstKernel>;
+  using Estimator = EstKernel;
+
+  KernelComponents(const util::Spec& policy_spec,
+                   const util::Spec& estimator_spec)
       : param_e_(policy_spec.get_double("e", cache::kDefaultKernelE)),
         estimator_params_(EstimatorTraits<EstKernel>::parse(estimator_spec)) {}
+
+  void bind(std::size_t n, const SimulationConfig&,
+            const workload::Catalog& catalog, const net::PathModel& model,
+            const util::Rng& rng) {
+    for (std::size_t p = 0; p < n; ++p) {
+      const util::Rng estimator_rng = rng.fork(estimator_tag(p));
+      if (p < estimators_.size()) {
+        EstimatorTraits<EstKernel>::rebind(*estimators_[p], estimator_params_,
+                                           model, estimator_rng);
+        policies_[p]->rebind(catalog, *estimators_[p]);
+      } else {
+        estimators_.push_back(EstimatorTraits<EstKernel>::create(
+            estimator_params_, model, estimator_rng));
+        policies_.push_back(
+            create_policy<PolKernel>(catalog, *estimators_[p], param_e_));
+      }
+    }
+    if (name_.empty()) name_ = policies_[0]->name();
+    refs_.resize(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      refs_[p] = Policy{policies_[p].get(), &estimators_[p]->kernel(), &name_};
+    }
+  }
+
+  [[nodiscard]] Policy& policy(std::size_t p) { return refs_[p]; }
+  [[nodiscard]] Estimator& estimator(std::size_t p) {
+    return estimators_[p]->kernel();
+  }
+
+ private:
+  double param_e_;
+  typename EstimatorTraits<EstKernel>::Params estimator_params_;
+  std::vector<std::unique_ptr<net::KernelEstimator<EstKernel>>> estimators_;
+  std::vector<std::unique_ptr<cache::UtilityPolicy<PolKernel>>> policies_;
+  std::vector<Policy> refs_;
+  std::string name_;
+};
+
+/// N proxies' components for specs outside the built-in table
+/// (user-registered components), built through the registry each run.
+class VirtualComponents {
+ public:
+  using Policy = cache::CachePolicy;
+  using Estimator = net::BandwidthEstimator;
+
+  void bind(std::size_t n, const SimulationConfig& config,
+            const workload::Catalog& catalog, const net::PathModel& model,
+            const util::Rng& rng) {
+    policies_.clear();  // before the estimators they reference
+    estimators_.clear();
+    for (std::size_t p = 0; p < n; ++p) {
+      estimators_.push_back(core::registry::make_estimator(
+          config.estimator, model, rng.fork(estimator_tag(p))));
+      policies_.push_back(core::registry::make_policy(config.policy, catalog,
+                                                      *estimators_[p]));
+    }
+  }
+
+  [[nodiscard]] Policy& policy(std::size_t p) { return *policies_[p]; }
+  [[nodiscard]] Estimator& estimator(std::size_t p) {
+    return *estimators_[p];
+  }
+
+ private:
+  std::vector<std::unique_ptr<net::BandwidthEstimator>> estimators_;
+  std::vector<std::unique_ptr<cache::CachePolicy>> policies_;
+};
+
+template <typename Components>
+class Engine final : public MonoEngineBase {
+ public:
+  template <typename... Args>
+  explicit Engine(const Args&... args) : components_(args...) {}
 
   SimulationResult run(const MonoRunContext& context) override {
     const workload::RequestStream& stream = *context.stream;
@@ -182,35 +280,28 @@ class MonoEngine final : public MonoEngineBase {
           rng.fork("paths"));
     }
 
-    if (estimator_.has_value()) {
-      EstimatorTraits<EstKernel>::rebind(*estimator_, estimator_params_,
-                                         *model, rng.fork("estimator"));
-    } else {
-      EstimatorTraits<EstKernel>::create(estimator_, estimator_params_,
-                                         *model, rng.fork("estimator"));
-    }
-    if (policy_.has_value()) {
-      policy_->rebind(catalog, *estimator_);
-    } else {
-      create_policy(policy_, catalog, *estimator_, param_e_);
-      name_ = policy_->name();
-    }
+    // A fleet splits the aggregate budget evenly across its proxies.
+    const std::size_t n =
+        context.fleet != nullptr ? context.fleet->config->proxies : 1;
+    components_.bind(n, config, catalog, *model, rng);
     state_.reset(stream, config.stream_chunk, model,
-                 config.cache_capacity_bytes, config.patching.enabled);
-
-    MonoPolicyRef<PolKernel, EstKernel> policy{&*policy_,
-                                               &estimator_->kernel(), &name_};
-    return run_request_loop(stream, config, state_, policy,
-                            estimator_->kernel(), rng);
+                 config.cache_capacity_bytes / static_cast<double>(n),
+                 config.patching.enabled, n);
+    kernels_.clear();
+    for (std::size_t p = 0; p < n; ++p) {
+      kernels_.emplace_back(components_.policy(p), components_.estimator(p),
+                            state_.proxies[p].store, state_.proxies[p].events);
+    }
+    return run_request_loop(stream, config, state_, kernels_.data(), rng,
+                            context.fleet);
   }
 
  private:
-  double param_e_;
-  typename EstimatorTraits<EstKernel>::Params estimator_params_;
-  std::optional<net::KernelEstimator<EstKernel>> estimator_;
-  std::optional<cache::UtilityPolicy<PolKernel>> policy_;
-  std::string name_;
+  Components components_;
   RunState state_;
+  std::vector<DecisionKernel<typename Components::Policy,
+                             typename Components::Estimator>>
+      kernels_;
 };
 
 // ---- the dispatch table over the registry's built-in spec space.
@@ -258,7 +349,7 @@ std::optional<EstimatorId> estimator_from_canonical(const std::string& name) {
 std::optional<PolicyId> policy_id(const std::string& name) {
   if (const auto id = policy_from_canonical(name)) return id;
   // Aliases resolve through the registry (one alias table, in
-  // core/registry.cpp); unregistered names stay on the fallback path.
+  // core/registry.cpp); unregistered names get the virtual engine.
   return policy_from_canonical(
       canonical_name(core::registry::Kind::kPolicy, name));
 }
@@ -275,17 +366,21 @@ std::unique_ptr<MonoEngineBase> make_engine_for(EstimatorId estimator,
                                                 const util::Spec& est_spec) {
   switch (estimator) {
     case EstimatorId::kOracle:
-      return std::make_unique<MonoEngine<PolKernel, net::OracleKernel>>(
-          policy_spec, est_spec);
+      return std::make_unique<
+          Engine<KernelComponents<PolKernel, net::OracleKernel>>>(policy_spec,
+                                                                  est_spec);
     case EstimatorId::kEwma:
-      return std::make_unique<MonoEngine<PolKernel, net::EwmaKernel>>(
-          policy_spec, est_spec);
+      return std::make_unique<
+          Engine<KernelComponents<PolKernel, net::EwmaKernel>>>(policy_spec,
+                                                                est_spec);
     case EstimatorId::kLast:
-      return std::make_unique<MonoEngine<PolKernel, net::LastSampleKernel>>(
+      return std::make_unique<
+          Engine<KernelComponents<PolKernel, net::LastSampleKernel>>>(
           policy_spec, est_spec);
     case EstimatorId::kProbe:
-      return std::make_unique<MonoEngine<PolKernel, net::ProbeKernel>>(
-          policy_spec, est_spec);
+      return std::make_unique<
+          Engine<KernelComponents<PolKernel, net::ProbeKernel>>>(policy_spec,
+                                                                 est_spec);
   }
   return nullptr;
 }
@@ -329,19 +424,22 @@ MonoEngineBase* acquire_mono_engine(SimulationArena& arena,
                                     const SimulationConfig& config) {
   if (SimulationArena::Slot* slot =
           arena.find(config.policy, config.estimator)) {
-    return slot->engine.get();  // null for negatively-cached pairs
+    return slot->engine.get();
   }
+  // Unknown names and parameters fail here exactly as in the registry
+  // factories.
+  core::registry::validate(core::registry::Kind::kPolicy, config.policy);
+  core::registry::validate(core::registry::Kind::kEstimator,
+                           config.estimator);
   const util::Spec policy_spec = util::Spec::parse(config.policy);
   const util::Spec est_spec = util::Spec::parse(config.estimator);
   const auto policy = policy_id(policy_spec.name);
   const auto estimator = estimator_id(est_spec.name);
   std::unique_ptr<MonoEngineBase> engine;
   if (policy.has_value() && estimator.has_value()) {
-    // Unknown parameters must fail exactly as on the fallback path.
-    core::registry::validate(core::registry::Kind::kPolicy, config.policy);
-    core::registry::validate(core::registry::Kind::kEstimator,
-                             config.estimator);
     engine = make_engine(*policy, *estimator, policy_spec, est_spec);
+  } else {
+    engine = std::make_unique<Engine<VirtualComponents>>();
   }
   return arena.insert(config.policy, config.estimator, std::move(engine))
       .engine.get();

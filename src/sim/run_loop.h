@@ -3,37 +3,52 @@
 //
 // There is exactly one implementation of the trace-driven request loop
 // (§3 methodology: warmup half, measured half, deferred completion
-// observations, viewing/patching extensions). It is instantiated twice:
+// observations, viewing/patching extensions), and one pass of it drives
+// N >= 1 proxies:
 //
-//   - the virtual fallback (sim/simulator.cpp): Policy = the
-//     cache::CachePolicy interface, Estimator = the
-//     net::BandwidthEstimator interface. This is the regression oracle
-//     and the path user-registered (out-of-dispatch-table) components
-//     run on.
-//   - the monomorphized engines (sim/monomorphize.cpp): Policy = a
-//     MonoPolicyRef over a concrete cache::UtilityPolicy<Kernel>,
-//     Estimator = a concrete estimator kernel. Every per-request call
-//     (estimate, observe, utility, admission) inlines, and the
-//     "schedule a completion event?" branch resolves at compile time
-//     via ObservationTraits.
+//   - the single cell (no fleet argument): one proxy, faults compiled
+//     for the standalone net::FaultScope{}, no per-proxy stats — the
+//     paper's simulator;
+//   - a fleet cell (a fleet::FleetRun argument, see fleet/fleet.h): N
+//     proxies behind a sharder, a shared uplink bucket, optional peer
+//     cooperation, per-proxy fault scopes and ProxyStats.
+//
+// The request cursor, the §2.2 delivery table and the path sampler are
+// shared by every proxy; each proxy has its own store, observation
+// queue, in-flight table and fault schedule (ProxyState). "Single cell
+// or fleet" is a compile-time parameter of the one body, so the single
+// cell pays nothing for the fleet couplings.
+//
+// The loop is instantiated by the engines of sim/monomorphize.cpp, the
+// only dispatch (sim/arena.h):
+//
+//   - built-in (policy, estimator) pairs: Policy = a MonoPolicyRef over
+//     a concrete cache::UtilityPolicy<Kernel>, Estimator = a concrete
+//     estimator kernel. Every per-request call (estimate, observe,
+//     utility, admission) inlines, and the "schedule a completion
+//     event?" branch resolves at compile time via ObservationTraits.
+//   - user-registered components: Policy = the cache::CachePolicy
+//     interface, Estimator = the net::BandwidthEstimator interface, built
+//     through the registry.
 //
 // The *decision* half of the loop — admission, utility eviction,
 // partial-prefix management, estimator observe/estimate with deferred
 // completion observations — lives in sim/decision.h as the
 // clock-agnostic DecisionKernel; this file contributes the *simulated
 // delivery* half (trace iteration, the §2.2 delivery model, session
-// dynamics, patching, metrics) and drives the kernel from the simulated
+// dynamics, patching, metrics) and drives the kernels from the simulated
 // clock. The live proxy daemon (src/server/) drives the identical
 // kernel from the wall clock.
 //
 // Because both instantiations execute the identical expressions in the
 // identical order over the identical RNG streams, their results are
 // bit-identical (tests/test_mono.cpp asserts this for every registered
-// policy x estimator pair, and the golden CSVs under tests/golden/ pin
-// the series across refactors of this file).
+// policy x estimator pair, single cell and fleet, and the golden CSVs
+// under tests/golden/ pin the series across refactors of this file).
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -42,6 +57,7 @@
 #include <vector>
 
 #include "cache/store.h"
+#include "fleet/fleet.h"
 #include "net/fault.h"
 #include "net/path_process.h"
 #include "sim/decision.h"
@@ -63,42 +79,59 @@ struct InFlightStream {
   double end = 0.0;
 };
 
+/// One proxy's mutable state: its store, deferred observations,
+/// in-flight patching table and compiled fault schedule.
+struct ProxyState {
+  ObservationQueue events;
+  cache::PartialStore store{0.0};
+  std::vector<InFlightStream> in_flight;
+  /// Compiled fault schedule (net/fault.h), rebuilt per run from
+  /// SimulationConfig::fault. Empty (and never consulted) when the
+  /// run's plan is empty.
+  net::FaultSchedule faults;
+};
+
 /// The reusable mutable state of one simulation run: everything the
 /// request loop mutates that is sized by the catalog rather than learned
 /// per run. A sim::SimulationArena keeps one RunState per cached engine
 /// so back-to-back simulations reuse the storage; reset() restores every
 /// piece to its freshly-constructed state.
 struct RunState {
-  ObservationQueue events;
-  cache::PartialStore store{0.0};
-  std::vector<InFlightStream> in_flight;
   std::optional<net::PathSampler> paths;
   /// Chunk-wise iteration over the run's request stream plus the dense
   /// per-object delivery operands (see sim/delivery.h). Both reuse
   /// their buffers across simulations.
   workload::RequestCursor cursor;
   DeliveryTable delivery;
-  /// Compiled fault schedule (net/fault.h), rebuilt per run from
-  /// SimulationConfig::fault. Empty (and never consulted) when the
-  /// run's plan is empty.
-  net::FaultSchedule faults;
+  /// One entry per proxy (one for the single cell).
+  std::vector<ProxyState> proxies;
 
-  /// Prepare for a run over `stream` and `model` (bit-identical to
-  /// building each member from scratch; storage reused). `chunk` is the
-  /// cursor block size (SimulationConfig::stream_chunk) — results are
-  /// identical for every value, only locality changes.
+  /// Prepare a single-proxy run over `stream` and `model` (bit-identical
+  /// to building each member from scratch; storage reused). `chunk` is
+  /// the cursor block size (SimulationConfig::stream_chunk) — results
+  /// are identical for every value, only locality changes.
   void reset(const workload::RequestStream& stream, std::size_t chunk,
              std::shared_ptr<const net::PathModel> model,
              double capacity_bytes, bool patching) {
+    reset(stream, chunk, std::move(model), capacity_bytes, patching, 1);
+  }
+
+  /// As above for `n_proxies` proxies of `capacity_bytes` each.
+  void reset(const workload::RequestStream& stream, std::size_t chunk,
+             std::shared_ptr<const net::PathModel> model,
+             double capacity_bytes, bool patching, std::size_t n_proxies) {
     const std::size_t n_objects = stream.catalog().size();
-    events.clear();
-    events.reserve(64);
-    store.reset(capacity_bytes);
-    store.reserve(n_objects);
-    if (patching) {
-      in_flight.assign(n_objects, InFlightStream{});
-    } else {
-      in_flight.clear();
+    proxies.resize(n_proxies);
+    for (ProxyState& proxy : proxies) {
+      proxy.events.clear();
+      proxy.events.reserve(64);
+      proxy.store.reset(capacity_bytes);
+      proxy.store.reserve(n_objects);
+      if (patching) {
+        proxy.in_flight.assign(n_objects, InFlightStream{});
+      } else {
+        proxy.in_flight.clear();
+      }
     }
     if (paths.has_value()) {
       paths->rebind(std::move(model));
@@ -109,22 +142,19 @@ struct RunState {
   }
 };
 
-/// Execute the full trace and return measured-window metrics.
-///
-/// `rng` must be the run's root stream (Rng(seed), with "paths" already
-/// forked off by the caller if it built the model here); the loop forks
-/// only the tag-keyed "viewing" child, so fork order elsewhere cannot
-/// perturb it. `policy` needs on_access(id, now_s, store) and name();
-/// `estimator` needs observe(path, throughput, now_s) and
-/// overhead_packets(), plus either uses_observations() or the kernel
-/// kUsesObservations constant.
-template <typename Policy, typename Estimator>
-[[nodiscard]] SimulationResult run_request_loop(
+namespace detail {
+
+/// The loop body. `kernels[p]` is proxy p's decision machinery over
+/// `state.proxies[p]`; kFleet == (fleet != nullptr).
+template <bool kFleet, typename Policy, typename Estimator>
+[[nodiscard]] SimulationResult request_loop(
     const workload::RequestStream& stream, const SimulationConfig& config,
-    RunState& state, Policy& policy, Estimator& estimator, util::Rng& rng) {
+    RunState& state, DecisionKernel<Policy, Estimator>* kernels,
+    util::Rng& rng, fleet::FleetRun* fleet) {
   const workload::Catalog& catalog = stream.catalog();
   const std::size_t total_requests = stream.num_requests();
   const workload::CatalogView view = catalog.view();
+  const std::size_t n = kFleet ? state.proxies.size() : 1;
 
   net::PathSampler& paths = *state.paths;
   const net::PathModel& model = paths.model();
@@ -143,37 +173,50 @@ template <typename Policy, typename Estimator>
     }
   }
 
-  // The clock-agnostic decision half (sim/decision.h); this loop owns
-  // the simulated clock and feeds it request arrival times.
-  DecisionKernel<Policy, Estimator> decisions(policy, estimator, state.store,
-                                              state.events);
   // Oracle / purely-active estimators discard observations; skip the
   // per-transfer event traffic for them entirely (the queue stays empty,
   // so tick() degenerates to one size check per request). For kernel
   // estimators this is a compile-time constant.
-  const bool estimator_observes = decisions.observes();
+  const bool estimator_observes = kernels[0].observes();
   // Fault injection (net/fault.h): compile the plan once per run. With
-  // an empty plan `faults` stays null and every hook below
-  // short-circuits on a constant pointer/scale test, so the loop
-  // executes the exact pre-fault expression stream — bit-identical
-  // results, golden-CSV enforced. The schedule seed is a tag-keyed fork
-  // of the run's root stream (fork() is const, so this perturbs
-  // nothing), making fault timing identical across engines and thread
-  // counts but independent across replications.
-  const net::FaultSchedule* faults = nullptr;
-  if (!config.fault.empty()) {
-    state.faults.compile(config.fault, model.size(),
-                         rng.fork("faults").seed());
-    faults = &state.faults;
-  } else {
-    state.faults.clear();
+  // an empty plan every hook below short-circuits on a constant flag
+  // test, so the loop executes the exact pre-fault expression stream —
+  // bit-identical results, golden-CSV enforced. The schedule seed is a
+  // tag-keyed fork of the run's root stream (fork() is const, so this
+  // perturbs nothing), making fault timing identical across engines,
+  // proxies and thread counts but independent across replications. Each
+  // fleet proxy compiles for its own FaultScope{proxy, region}, so a
+  // window tagged @region0 survives only on region 0's proxies; the
+  // single cell compiles for the standalone scope, where scoped windows
+  // stay inert.
+  const bool have_faults = !config.fault.empty();
+  const std::uint64_t fault_seed =
+      have_faults ? rng.fork("faults").seed() : 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    ProxyState& proxy = state.proxies[p];
+    if (have_faults) {
+      net::FaultScope scope;
+      if constexpr (kFleet) {
+        scope = net::FaultScope{static_cast<std::uint32_t>(p),
+                                fleet->config->region_of(p)};
+      }
+      proxy.faults.compile(config.fault, model.size(), fault_seed, scope);
+      kernels[p].set_faults(&proxy.faults);
+    } else {
+      proxy.faults.clear();
+      kernels[p].set_faults(nullptr);
+    }
   }
-  decisions.set_faults(faults);
+  // The single cell works on local copies of its one kernel and proxy
+  // reference (kernels are a few pointers), exactly the shape of a loop
+  // with no proxy array at all.
+  DecisionKernel<Policy, Estimator> solo = kernels[0];
+  ProxyState& solo_proxy = state.proxies[0];
+
   MetricsCollector metrics;
   const auto warm_count = static_cast<std::size_t>(
       static_cast<double>(total_requests) * config.warmup_fraction);
 
-  std::vector<InFlightStream>& in_flight = state.in_flight;
   util::Rng viewing_rng = rng.fork("viewing");
   // Session dynamics draw from their own tag-keyed stream so enabling
   // them never perturbs the viewing/path/estimator streams (and "full"
@@ -206,10 +249,23 @@ template <typename Policy, typename Estimator>
     for (std::size_t i = 0; i < block->size; ++i) {
       const std::size_t idx = block->first + i;
       const double now_s = block->time_s[i];
+      const workload::ObjectId id = block->object[i];
+      // The fleet couplings below are each inert by flag: routing
+      // (n == 1 pins proxy 0 before the sharder is consulted), peer
+      // cooperation (coop == 0), and the shared uplink bucket
+      // (uplink_mbps == 0).
+      std::uint32_t p = 0;
+      if constexpr (kFleet) {
+        if (idx == 0) fleet->t_first = now_s;
+        fleet->t_last = now_s;
+        if (n > 1) p = fleet->sharder.proxy_for(idx, id);
+      }
+      DecisionKernel<Policy, Estimator>& decisions =
+          kFleet ? kernels[p] : solo;
+      ProxyState& proxy = kFleet ? state.proxies[p] : solo_proxy;
       // Deliver pending transfer-completion observations first.
       decisions.tick(now_s);
 
-      const workload::ObjectId id = block->object[i];
       const double duration_s = view.duration_s[id];
       const double bitrate = view.bitrate[id];
       const double size_bytes = view.size_bytes[id];
@@ -228,8 +284,8 @@ template <typename Policy, typename Estimator>
       // (scale == 0) cuts the origin entirely and the request is served
       // cache-only.
       double fault_scale = 1.0;
-      if (faults != nullptr) {
-        fault_scale = faults->bandwidth_scale(view.path[id], now_s);
+      if (have_faults) {
+        fault_scale = proxy.faults.bandwidth_scale(view.path[id], now_s);
         if (fault_scale > 0.0 && fault_scale != 1.0) {
           bw *= fault_scale;
           db = duration_s * bw;
@@ -294,20 +350,49 @@ template <typename Policy, typename Estimator>
                                         : 0.0;
       }
 
+      // Cooperation: the largest peer prefix extends this proxy's own —
+      // both are prefixes of the same object, so the peer contributes
+      // only the part beyond what the local cache already served. Peer
+      // bytes are backbone-free shared traffic (they never cross the
+      // uplink) at one peer hop of extra prefetch wait; startup
+      // immediacy is the local §2.2 outcome either way. Outages are not
+      // bypassed: a cache-only request has bytes_from_origin == 0.
+      [[maybe_unused]] double peer_extra = 0.0;
+      if constexpr (kFleet) {
+        if (fleet->coop && outcome.bytes_from_origin > 0) {
+          double best = 0.0;
+          for (std::size_t q = 0; q < n; ++q) {
+            if (q == p) continue;
+            best = std::max(best, state.proxies[q].store.cached(id));
+          }
+          peer_extra = std::min(outcome.bytes_from_origin,
+                                std::max(0.0, best - outcome.bytes_from_cache));
+          if (peer_extra > 0.0) {
+            outcome.bytes_shared += peer_extra;
+            outcome.bytes_from_origin -= peer_extra;
+            outcome.origin_transfer_s = outcome.bytes_from_origin > 0
+                                            ? outcome.bytes_from_origin / bw
+                                            : 0.0;
+            if (outcome.delay_s > 0.0) {
+              outcome.delay_s += fleet->config->peer_latency_s;
+            }
+          }
+        }
+      }
+
       // Patching: share the tail of an in-flight transmission of the
       // same object; only the missed prefix still needs the origin.
       if (config.patching.enabled && outcome.bytes_from_origin > 0) {
-        InFlightStream& flight = in_flight[id];
+        InFlightStream& flight = proxy.in_flight[id];
         if (now_s < flight.end) {
           // flight.end is start + the originating session's transmission
           // time: the full playout duration, or its departure point when
-          // session dynamics truncated it (bit-identical to the old
-          // `flight.start + duration_s` expression for full sessions).
+          // session dynamics truncated it.
           const double remaining_shareable =
               std::min(size_bytes, bitrate * (flight.end - now_s));
           const double shared = std::min(outcome.bytes_from_origin,
                                          std::max(0.0, remaining_shareable));
-          outcome.bytes_shared = shared;
+          outcome.bytes_shared += shared;
           outcome.bytes_from_origin -= shared;
           outcome.origin_transfer_s = outcome.bytes_from_origin > 0
                                           ? outcome.bytes_from_origin / bw
@@ -322,12 +407,31 @@ template <typename Policy, typename Estimator>
         }
       }
 
+      // Shared finite uplink: what still has to cross the backbone
+      // drains the fleet-wide token bucket; a drained bucket queues the
+      // transfer, stretching it (and the throughput passive estimators
+      // observe) and delaying playout — the cross-proxy coupling.
+      if constexpr (kFleet) {
+        if (fleet->uplink.enabled() && outcome.bytes_from_origin > 0) {
+          const double wait_s =
+              fleet->uplink.acquire(now_s, outcome.bytes_from_origin);
+          if (wait_s > 0.0) {
+            outcome.delay_s += wait_s;
+            outcome.immediate = false;
+            outcome.origin_transfer_s += wait_s;
+            outcome.origin_throughput =
+                outcome.bytes_from_origin / outcome.origin_transfer_s;
+          }
+        }
+      }
+
       const bool measured = idx >= warm_count;
       if (measured) {
         metrics.record(outcome, view.value[id]);
-        if (faults != nullptr && fault_scale <= 0.0) {
-          // Cache-only service: the part of the (viewed) request the
-          // cached prefix could not cover was denied, not delayed.
+        // Cache-only service: the part of the (viewed) request the
+        // cached prefix could not cover was denied, not delayed.
+        const bool denied = have_faults && fault_scale <= 0.0;
+        if (denied) {
           metrics.record_denied(request_bytes - outcome.bytes_from_cache);
         }
         // Session stats only when a session model is active: the
@@ -335,6 +439,20 @@ template <typename Policy, typename Estimator>
         // the disabled path pays nothing (its throughput is perf-gated).
         if (interactive) {
           metrics.record_session(viewed_fraction, viewed_fraction < 1.0);
+        }
+        if constexpr (kFleet) {
+          fleet::ProxyStats& ps = fleet->per_proxy[p];
+          ++ps.requests;
+          if (cached_before > 0.0) ++ps.hits;
+          ps.origin_bytes += outcome.bytes_from_origin;
+          if (peer_extra > 0.0) {
+            ++ps.peer_assisted;
+            ps.peer_bytes += peer_extra;
+          }
+          if (denied) {
+            ++ps.denied_requests;
+            ps.denied_bytes += request_bytes - outcome.bytes_from_cache;
+          }
         }
       }
 
@@ -357,21 +475,71 @@ template <typename Policy, typename Estimator>
         // Growth of this object's prefix is origin->cache fill traffic.
         if (measured && cached_after > cached_before) {
           metrics.record_fill(cached_after - cached_before);
+          if constexpr (kFleet) {
+            fleet->per_proxy[p].fill_bytes += cached_after - cached_before;
+          }
         }
       }
     }
   }
-  decisions.drain();
 
   SimulationResult result;
-  result.policy_name = policy.name();
+  if constexpr (kFleet) {
+    for (std::size_t p = 0; p < n; ++p) kernels[p].drain();
+  } else {
+    solo.drain();
+  }
+  result.policy_name = kernels[0].policy().name();
   result.metrics = metrics;
   result.warmup_requests = warm_count;
   result.measured_requests = total_requests - warm_count;
-  result.final_occupancy_bytes = state.store.used();
-  result.final_cached_objects = state.store.object_count();
-  result.estimator_overhead_packets = estimator.overhead_packets();
+  for (std::size_t p = 0; p < n; ++p) {
+    result.final_occupancy_bytes += state.proxies[p].store.used();
+    result.final_cached_objects += state.proxies[p].store.object_count();
+    result.estimator_overhead_packets +=
+        kernels[p].estimator().overhead_packets();
+  }
   return result;
+}
+
+}  // namespace detail
+
+/// Execute the full trace over N proxies and return the measured-window
+/// metrics, aggregated in request order. `kernels[p]` must be built over
+/// `state.proxies[p]`'s store and observation queue, for every proxy of
+/// `state` (reset with n_proxies == fleet->config->proxies). A null
+/// `fleet` is the single cell: only proxy 0 runs.
+///
+/// `rng` must be the run's root stream (Rng(seed), with "paths" already
+/// forked off by the caller if it built the model here); the loop forks
+/// only tag-keyed children, so fork order elsewhere cannot perturb it.
+/// `Policy` needs on_access(id, now_s, store) and name(); `Estimator`
+/// needs observe(path, throughput, now_s) and overhead_packets(), plus
+/// either uses_observations() or the kernel kUsesObservations constant.
+template <typename Policy, typename Estimator>
+[[nodiscard]] SimulationResult run_request_loop(
+    const workload::RequestStream& stream, const SimulationConfig& config,
+    RunState& state, DecisionKernel<Policy, Estimator>* kernels,
+    util::Rng& rng, fleet::FleetRun* fleet) {
+  if (fleet != nullptr) {
+    return detail::request_loop<true>(stream, config, state, kernels, rng,
+                                      fleet);
+  }
+  return detail::request_loop<false>(stream, config, state, kernels, rng,
+                                     nullptr);
+}
+
+/// The single-proxy entry: one (policy, estimator) pair over `state`
+/// (reset for one proxy).
+template <typename Policy, typename Estimator>
+[[nodiscard]] SimulationResult run_request_loop(
+    const workload::RequestStream& stream, const SimulationConfig& config,
+    RunState& state, Policy& policy, Estimator& estimator, util::Rng& rng) {
+  DecisionKernel<Policy, Estimator> kernel(policy, estimator,
+                                           state.proxies[0].store,
+                                           state.proxies[0].events);
+  return detail::request_loop<false>(stream, config, state, &kernel, rng,
+                                     nullptr);
 }
 
 }  // namespace sc::sim

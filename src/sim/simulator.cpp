@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "core/registry.h"
-#include "net/estimator.h"
 #include "sim/arena.h"
-#include "sim/run_loop.h"
 
 namespace sc::sim {
 
@@ -95,53 +93,16 @@ Simulator::Simulator(workload::RequestStream stream,
 SimulationResult Simulator::run() { return run(nullptr); }
 
 SimulationResult Simulator::run(SimulationArena* arena) {
-  if (config_.monomorphize) {
-    // Use the caller's per-worker arena when given (sweep workers reuse
-    // engines across simulations); otherwise a run-local one.
-    std::optional<SimulationArena> local;
-    SimulationArena& cache = arena != nullptr ? *arena : local.emplace();
-    if (MonoEngineBase* engine = acquire_mono_engine(cache, config_)) {
-      MonoRunContext context;
-      context.stream = &stream_;
-      context.model = path_model_;
-      context.base = base_.has_value() ? &*base_ : nullptr;
-      context.ratio = ratio_.has_value() ? &*ratio_ : nullptr;
-      context.config = &config_;
-      context.seed = config_.seed;
-      return engine->run(context);
-    }
-  }
-  return run_fallback();
-}
-
-SimulationResult Simulator::run_fallback() {
-  const workload::Catalog& catalog = stream_.catalog();
-
-  util::Rng rng(config_.seed);
-  // Shared immutable means + per-run sampler. Without a shared model the
-  // draws happen here, from the same seed stream a shared builder uses.
-  std::shared_ptr<const net::PathModel> model = path_model_;
-  if (model == nullptr) {
-    model = std::make_shared<const net::PathModel>(
-        catalog.size(), *base_, *ratio_, config_.path_config,
-        rng.fork("paths"));
-  }
-
-  // Build the configured estimator and policy through the registry.
-  std::unique_ptr<net::BandwidthEstimator> estimator =
-      core::registry::make_estimator(config_.estimator, *model,
-                                     rng.fork("estimator"));
-  auto policy =
-      core::registry::make_policy(config_.policy, catalog, *estimator);
-
-  RunState state;
-  state.reset(stream_, config_.stream_chunk, std::move(model),
-              config_.cache_capacity_bytes, config_.patching.enabled);
-  // The loop body is shared with the monomorphized engines
-  // (sim/run_loop.h); this instantiation dispatches through the virtual
-  // CachePolicy / BandwidthEstimator interfaces.
-  return run_request_loop(stream_, config_, state, *policy, *estimator,
-                          rng);
+  std::optional<SimulationArena> local;
+  SimulationArena& cache = arena != nullptr ? *arena : local.emplace();
+  MonoRunContext context;
+  context.stream = &stream_;
+  context.model = path_model_;
+  context.base = base_.has_value() ? &*base_ : nullptr;
+  context.ratio = ratio_.has_value() ? &*ratio_ : nullptr;
+  context.config = &config_;
+  context.seed = config_.seed;
+  return acquire_mono_engine(cache, config_)->run(context);
 }
 
 }  // namespace sc::sim

@@ -86,15 +86,6 @@ struct SimulationConfig {
   /// per-chunk overhead against SoA scratch locality (and bounds peak
   /// memory for regenerated streams at O(stream_chunk)).
   std::size_t stream_chunk = workload::kDefaultStreamChunk;
-
-  /// Run on the monomorphized engine when the (policy, estimator) pair
-  /// is covered by the built-in dispatch table (sim/arena.h): the
-  /// request loop is compiled per concrete kernel pair, so estimate()
-  /// and the admission path are inlined with no virtual dispatch.
-  /// Results are bit-identical either way; `false` forces the virtual
-  /// fallback path, kept as a regression oracle. Out-of-table
-  /// (user-registered) specs always take the fallback path.
-  bool monomorphize = true;
 };
 
 struct SimulationResult {
@@ -148,16 +139,14 @@ class Simulator {
   /// Execute the full trace and return measured-window metrics.
   [[nodiscard]] SimulationResult run();
 
-  /// As run(), reusing `arena`'s cached monomorphized engine (and its
-  /// event queue / store / heap / estimator storage) when the config's
-  /// (policy, estimator) pair is in the dispatch table. Sweep workers
-  /// pass their per-worker arena so back-to-back simulations allocate
-  /// nothing; a null arena uses a run-local one.
+  /// As run(), reusing `arena`'s cached engine for the config's
+  /// (policy, estimator) pair (and its event queue / store / heap /
+  /// estimator storage; see sim/arena.h). Sweep workers pass their
+  /// per-worker arena so back-to-back simulations allocate nothing; a
+  /// null arena uses a run-local one.
   [[nodiscard]] SimulationResult run(SimulationArena* arena);
 
  private:
-  [[nodiscard]] SimulationResult run_fallback();
-
   Simulator(workload::RequestStream stream,
             const stats::EmpiricalDistribution* base_bandwidth,
             const stats::EmpiricalDistribution* ratio_model,

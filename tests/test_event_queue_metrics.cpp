@@ -8,65 +8,64 @@
 namespace sc::sim {
 namespace {
 
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
+TEST(BasicEventQueue, RunsInTimeOrder) {
+  BasicEventQueue<int> q;
   std::vector<int> order;
-  q.schedule(3.0, [&](double) { order.push_back(3); });
-  q.schedule(1.0, [&](double) { order.push_back(1); });
-  q.schedule(2.0, [&](double) { order.push_back(2); });
-  q.run_all();
+  q.schedule(3.0, 3);
+  q.schedule(1.0, 1);
+  q.schedule(2.0, 2);
+  q.run_all([&](double, int& v) { order.push_back(v); });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, FifoTieBreaking) {
-  EventQueue q;
+TEST(BasicEventQueue, FifoTieBreaking) {
+  BasicEventQueue<int> q;
   std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(1.0, [&order, i](double) { order.push_back(i); });
-  }
-  q.run_all();
+  for (int i = 0; i < 5; ++i) q.schedule(1.0, i);
+  q.run_all([&](double, int& v) { order.push_back(v); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, RunUntilRespectsHorizon) {
-  EventQueue q;
+TEST(BasicEventQueue, RunUntilRespectsHorizon) {
+  BasicEventQueue<int> q;
   std::vector<double> fired;
-  for (const double t : {0.5, 1.0, 1.5, 2.0}) {
-    q.schedule(t, [&fired](double now) { fired.push_back(now); });
-  }
-  q.run_until(1.0);  // inclusive
+  for (const double t : {0.5, 1.0, 1.5, 2.0}) q.schedule(t, 0);
+  const auto record = [&fired](double now, int&) { fired.push_back(now); };
+  q.run_until(1.0, record);  // inclusive
   EXPECT_EQ(fired, (std::vector<double>{0.5, 1.0}));
   EXPECT_EQ(q.size(), 2u);
-  q.run_until(10.0);
+  q.run_until(10.0, record);
   EXPECT_EQ(fired.size(), 4u);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, ActionsReceiveTheirScheduledTime) {
-  EventQueue q;
+TEST(BasicEventQueue, HandlersReceiveTheirScheduledTime) {
+  BasicEventQueue<int> q;
   double seen = -1;
-  q.schedule(7.5, [&](double now) { seen = now; });
-  q.run_all();
+  q.schedule(7.5, 0);
+  q.run_all([&](double now, int&) { seen = now; });
   EXPECT_DOUBLE_EQ(seen, 7.5);
   EXPECT_DOUBLE_EQ(q.now(), 7.5);
 }
 
-TEST(EventQueue, NestedSchedulingWithinHorizon) {
-  EventQueue q;
+TEST(BasicEventQueue, NestedSchedulingWithinHorizon) {
+  BasicEventQueue<int> q;
   std::vector<int> order;
-  q.schedule(1.0, [&](double) {
-    order.push_back(1);
-    q.schedule(1.5, [&](double) { order.push_back(2); });
-    q.schedule(5.0, [&](double) { order.push_back(9); });
+  q.schedule(1.0, 1);
+  q.run_until(2.0, [&](double, int& v) {
+    order.push_back(v);
+    if (v == 1) {
+      q.schedule(1.5, 2);
+      q.schedule(5.0, 9);
+    }
   });
-  q.run_until(2.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));  // the 5.0 event waits
   EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(ObservationQueue, PodEventsDrainInTimeThenFifoOrder) {
   // Regression for the POD specialization: same-timestamp events must
-  // keep insertion (FIFO) order, exactly like the callback queue.
+  // keep insertion (FIFO) order, exactly like any other payload.
   ObservationQueue q;
   q.reserve(8);
   q.schedule(2.0, ObservationEvent{20, 1.0});

@@ -15,6 +15,7 @@
 #include "core/registry.h"
 #include "core/sweep.h"
 #include "util/spec.h"
+#include "virtual_components.h"
 
 namespace sc {
 namespace {
@@ -323,18 +324,19 @@ TEST(FaultSimulation, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a[2].denied_requests, 0.0);
 }
 
-TEST(FaultSimulation, MonoAndFallbackEnginesAgreeUnderFaults) {
+TEST(FaultSimulation, KernelAndVirtualEnginesAgreeUnderFaults) {
   const auto scenario = core::constant_scenario();
   for (const char* plan :
        {kMeasuredOutage, "fault:degrade=14000+8000x0.25",
         "fault:flap=14000+8000@120", "fault:blackout=14000+8000"}) {
-    core::ExperimentConfig mono = chaos_config();
-    mono.sim.estimator = "ewma";  // exercise the observation path too
-    mono.sim.fault = net::FaultPlan::parse(plan);
-    core::ExperimentConfig fallback = mono;
-    fallback.sim.monomorphize = false;
-    const auto a = core::run_experiment(mono, scenario);
-    const auto b = core::run_experiment(fallback, scenario);
+    core::ExperimentConfig kernel = chaos_config();
+    kernel.sim.estimator = "ewma";  // exercise the observation path too
+    kernel.sim.fault = net::FaultPlan::parse(plan);
+    core::ExperimentConfig virt = kernel;
+    virt.sim.policy = testing::virtual_spec(kernel.sim.policy);
+    virt.sim.estimator = testing::virtual_spec(kernel.sim.estimator);
+    const auto a = core::run_experiment(kernel, scenario);
+    const auto b = core::run_experiment(virt, scenario);
     expect_field_identical(a, b);
   }
 }

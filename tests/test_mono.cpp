@@ -1,26 +1,37 @@
-// Dispatch-path identity: the monomorphized engines (sim/arena.h) must
-// be observationally indistinguishable from the virtual-fallback path.
+// Engine identity: the kernel engines of the dispatch table (sim/arena.h)
+// must be observationally indistinguishable from the virtual engine that
+// runs user-registered components.
 //
-// The two paths share one loop body (sim/run_loop.h) and construct their
+// Both engines share one loop body (sim/run_loop.h) and construct their
 // components with identical parameters and RNG streams, so their results
 // are not merely close — they are field-identical, for every registered
-// (policy, estimator) pair, and arena reuse across back-to-back
-// simulations is bit-identical to fresh construction.
+// (policy, estimator) pair, single cell and fleet cell alike, and arena
+// reuse across back-to-back simulations is bit-identical to fresh
+// construction. Every matrix compares SPEC (a kernel engine) against
+// "test-virtual:of=SPEC" (tests/virtual_components.h: the registry's own
+// SPEC component behind a forwarding wrapper, so it takes the virtual
+// engine).
 
 #include "sim/arena.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/registry.h"
 #include "core/sweep.h"
+#include "fleet/fleet.h"
+#include "virtual_components.h"
 #include "workload/trace.h"
 
 namespace sc::sim {
 namespace {
+
+using testing::virtual_spec;
 
 core::ExperimentConfig small_config() {
   core::ExperimentConfig cfg;
@@ -31,6 +42,23 @@ core::ExperimentConfig small_config() {
   cfg.sim.cache_capacity_bytes =
       core::capacity_for_fraction(cfg.workload.catalog, 0.05);
   return cfg;
+}
+
+/// The same experiment with both components on the virtual engine.
+core::ExperimentConfig virtual_twin(core::ExperimentConfig cfg) {
+  cfg.sim.policy = virtual_spec(cfg.sim.policy);
+  cfg.sim.estimator = virtual_spec(cfg.sim.estimator);
+  return cfg;
+}
+
+/// Registered names of one axis, minus the components test binaries
+/// register themselves.
+std::vector<std::string> builtin_names(core::registry::Kind kind) {
+  std::vector<std::string> out;
+  for (const std::string& name : core::registry::names(kind)) {
+    if (name.rfind("test-", 0) != 0) out.push_back(name);
+  }
+  return out;
 }
 
 void expect_bit_identical(const core::AveragedMetrics& a,
@@ -49,11 +77,18 @@ void expect_bit_identical(const core::AveragedMetrics& a,
   EXPECT_EQ(a.immediate_ratio, b.immediate_ratio) << label;
   EXPECT_EQ(a.fill_bytes, b.fill_bytes) << label;
   EXPECT_EQ(a.occupancy_bytes, b.occupancy_bytes) << label;
+  EXPECT_EQ(a.denied_requests, b.denied_requests) << label;
+  EXPECT_EQ(a.denied_bytes, b.denied_bytes) << label;
+  EXPECT_EQ(a.uplink_utilization, b.uplink_utilization) << label;
+  EXPECT_EQ(a.load_imbalance, b.load_imbalance) << label;
+  EXPECT_EQ(a.peer_hit_ratio, b.peer_hit_ratio) << label;
 }
 
 void expect_results_identical(const SimulationResult& a,
                               const SimulationResult& b,
                               const std::string& label) {
+  const MetricsCollector& x = a.metrics;
+  const MetricsCollector& y = b.metrics;
   EXPECT_EQ(a.policy_name, b.policy_name) << label;
   EXPECT_EQ(a.warmup_requests, b.warmup_requests) << label;
   EXPECT_EQ(a.measured_requests, b.measured_requests) << label;
@@ -61,28 +96,59 @@ void expect_results_identical(const SimulationResult& a,
   EXPECT_EQ(a.final_cached_objects, b.final_cached_objects) << label;
   EXPECT_EQ(a.estimator_overhead_packets, b.estimator_overhead_packets)
       << label;
-  EXPECT_EQ(a.metrics.traffic_reduction_ratio(),
-            b.metrics.traffic_reduction_ratio())
+  EXPECT_EQ(x.requests(), y.requests()) << label;
+  EXPECT_EQ(x.traffic_reduction_ratio(), y.traffic_reduction_ratio()) << label;
+  EXPECT_EQ(x.backbone_reduction_ratio(), y.backbone_reduction_ratio())
       << label;
-  EXPECT_EQ(a.metrics.average_delay_s(), b.metrics.average_delay_s()) << label;
-  EXPECT_EQ(a.metrics.average_quality(), b.metrics.average_quality()) << label;
-  EXPECT_EQ(a.metrics.total_added_value(), b.metrics.total_added_value())
+  EXPECT_EQ(x.average_delay_s(), y.average_delay_s()) << label;
+  EXPECT_EQ(x.average_quality(), y.average_quality()) << label;
+  EXPECT_EQ(x.total_added_value(), y.total_added_value()) << label;
+  EXPECT_EQ(x.hit_ratio(), y.hit_ratio()) << label;
+  EXPECT_EQ(x.immediate_ratio(), y.immediate_ratio()) << label;
+  EXPECT_EQ(x.bytes_from_cache(), y.bytes_from_cache()) << label;
+  EXPECT_EQ(x.bytes_shared(), y.bytes_shared()) << label;
+  EXPECT_EQ(x.bytes_from_origin(), y.bytes_from_origin()) << label;
+  EXPECT_EQ(x.fill_bytes(), y.fill_bytes()) << label;
+  EXPECT_EQ(x.denied_requests(), y.denied_requests()) << label;
+  EXPECT_EQ(x.denied_bytes(), y.denied_bytes()) << label;
+  EXPECT_EQ(x.average_viewed_fraction(), y.average_viewed_fraction())
       << label;
-  EXPECT_EQ(a.metrics.hit_ratio(), b.metrics.hit_ratio()) << label;
-  EXPECT_EQ(a.metrics.immediate_ratio(), b.metrics.immediate_ratio()) << label;
-  EXPECT_EQ(a.metrics.fill_bytes(), b.metrics.fill_bytes()) << label;
+  EXPECT_EQ(x.truncated_ratio(), y.truncated_ratio()) << label;
 }
 
-TEST(MonoDispatch, CoversEveryBuiltinPairAndAliases) {
+void expect_fleets_identical(const fleet::FleetResult& a,
+                             const fleet::FleetResult& b,
+                             const std::string& label) {
+  expect_results_identical(a.aggregate, b.aggregate, label);
+  EXPECT_EQ(a.uplink_utilization, b.uplink_utilization) << label;
+  EXPECT_EQ(a.load_imbalance, b.load_imbalance) << label;
+  EXPECT_EQ(a.peer_hit_ratio, b.peer_hit_ratio) << label;
+  ASSERT_EQ(a.per_proxy.size(), b.per_proxy.size()) << label;
+  for (std::size_t p = 0; p < a.per_proxy.size(); ++p) {
+    const fleet::ProxyStats& x = a.per_proxy[p];
+    const fleet::ProxyStats& y = b.per_proxy[p];
+    const std::string at = label + " proxy " + std::to_string(p);
+    EXPECT_EQ(x.requests, y.requests) << at;
+    EXPECT_EQ(x.hits, y.hits) << at;
+    EXPECT_EQ(x.peer_assisted, y.peer_assisted) << at;
+    EXPECT_EQ(x.denied_requests, y.denied_requests) << at;
+    EXPECT_EQ(x.denied_bytes, y.denied_bytes) << at;
+    EXPECT_EQ(x.origin_bytes, y.origin_bytes) << at;
+    EXPECT_EQ(x.peer_bytes, y.peer_bytes) << at;
+    EXPECT_EQ(x.fill_bytes, y.fill_bytes) << at;
+  }
+}
+
+TEST(EngineDispatch, CoversEveryBuiltinPairAndAliases) {
   // Every registered builtin spelling — canonical names AND aliases on
-  // both axes — must resolve to a monomorphized engine (aliases are
-  // resolved through the registry, so one added there is covered here
+  // both axes — must resolve to a kernel engine (aliases are resolved
+  // through the registry, so one added there is covered here
   // automatically).
   const auto spellings = [](core::registry::Kind kind) {
     std::vector<std::string> out;
     for (const auto& info : core::registry::list(kind)) {
-      // Skip components this test binary registers itself (they are
-      // out-of-table by design; see UserRegisteredSpecsFallBack).
+      // Skip components test binaries register themselves (they are
+      // out-of-table by design).
       if (info.name.rfind("test-", 0) == 0) continue;
       out.push_back(info.name);
       out.insert(out.end(), info.aliases.begin(), info.aliases.end());
@@ -103,22 +169,38 @@ TEST(MonoDispatch, CoversEveryBuiltinPairAndAliases) {
   EXPECT_TRUE(mono_dispatchable(cfg));
   cfg.policy = "no-such-policy";
   EXPECT_FALSE(mono_dispatchable(cfg));
+  cfg.policy = virtual_spec("pb");
+  EXPECT_FALSE(mono_dispatchable(cfg));
 }
 
-TEST(MonoDispatch, FieldIdenticalToFallbackForEveryRegisteredPair) {
+TEST(EngineDispatch, EveryPairGetsAnEngineAndUnknownSpecsFail) {
+  SimulationArena arena;
+  SimulationConfig cfg;
+  cfg.policy = virtual_spec("pb");
+  cfg.estimator = "ewma";
+  MonoEngineBase* engine = acquire_mono_engine(arena, cfg);
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(acquire_mono_engine(arena, cfg), engine);  // cached per pair
+  cfg.policy = "no-such-policy";
+  EXPECT_THROW((void)acquire_mono_engine(arena, cfg), util::SpecError);
+  cfg.policy = "pb";
+  cfg.estimator = "ewma:frequency=2";
+  EXPECT_THROW((void)acquire_mono_engine(arena, cfg), util::SpecError);
+}
+
+TEST(EngineDispatch, KernelAndVirtualFieldIdenticalForEveryRegisteredPair) {
   // The tentpole contract: for every registered (policy, estimator)
-  // pair — parameterized variants included — the monomorphized path and
-  // the virtual-fallback regression oracle produce field-identical
-  // AveragedMetrics. Exercised under iid bandwidth variability so the
-  // sampler stream, estimator observations, and value policies all
-  // participate.
+  // pair — parameterized variants included — the kernel engine and the
+  // virtual engine produce field-identical AveragedMetrics. Exercised
+  // under iid bandwidth variability so the sampler stream, estimator
+  // observations, and value policies all participate.
   const auto scenario = core::measured_variability_scenario();
   std::vector<std::string> policies =
-      core::registry::names(core::registry::Kind::kPolicy);
+      builtin_names(core::registry::Kind::kPolicy);
   policies.push_back("hybrid:e=0.5");
   policies.push_back("pbv:e=0.7");
   std::vector<std::string> estimators =
-      core::registry::names(core::registry::Kind::kEstimator);
+      builtin_names(core::registry::Kind::kEstimator);
   estimators.push_back("ewma:alpha=0.5,prior_kbps=80");
   estimators.push_back("probe:interval_s=600");
 
@@ -127,18 +209,15 @@ TEST(MonoDispatch, FieldIdenticalToFallbackForEveryRegisteredPair) {
       core::ExperimentConfig cfg = small_config();
       cfg.sim.policy = policy;
       cfg.sim.estimator = estimator;
-
-      cfg.sim.monomorphize = true;
-      const auto mono = core::run_experiment(cfg, scenario);
-      cfg.sim.monomorphize = false;
-      const auto fallback = core::run_experiment(cfg, scenario);
-      expect_bit_identical(mono, fallback, policy + " x " + estimator);
+      const auto kernel = core::run_experiment(cfg, scenario);
+      const auto virt = core::run_experiment(virtual_twin(cfg), scenario);
+      expect_bit_identical(kernel, virt, policy + " x " + estimator);
     }
   }
 }
 
-TEST(MonoDispatch, ExtensionsRunIdenticallyThroughTheMonoPath) {
-  // Viewing + patching change the loop's byte accounting; both paths
+TEST(EngineDispatch, ExtensionsRunIdenticallyOnBothEngines) {
+  // Viewing + patching change the loop's byte accounting; both engines
   // must agree there too.
   const auto scenario = core::constant_scenario();
   core::ExperimentConfig cfg = small_config();
@@ -146,18 +225,16 @@ TEST(MonoDispatch, ExtensionsRunIdenticallyThroughTheMonoPath) {
   cfg.sim.viewing.enabled = true;
   cfg.sim.patching.enabled = true;
 
-  cfg.sim.monomorphize = true;
-  const auto mono = core::run_experiment(cfg, scenario);
-  cfg.sim.monomorphize = false;
-  const auto fallback = core::run_experiment(cfg, scenario);
-  expect_bit_identical(mono, fallback, "pb + viewing + patching");
+  const auto kernel = core::run_experiment(cfg, scenario);
+  const auto virt = core::run_experiment(virtual_twin(cfg), scenario);
+  expect_bit_identical(kernel, virt, "pb + viewing + patching");
 }
 
-TEST(MonoDispatch, EveryInteractivityModeRunsIdenticallyThroughTheMonoPath) {
-  // Session dynamics draw inside the shared loop body; mono and
-  // fallback must agree for every mode, with and without patching, and
-  // across the estimator kinds (observation scheduling interacts with
-  // the truncated transfers).
+TEST(EngineDispatch, EveryInteractivityModeRunsIdenticallyOnBothEngines) {
+  // Session dynamics draw inside the shared loop body; the engines must
+  // agree for every mode, with and without patching, and across the
+  // estimator kinds (observation scheduling interacts with the
+  // truncated transfers).
   const auto scenario = core::measured_variability_scenario();
   for (const char* mode : {"full", "exp:mean=900", "empirical", "trace"}) {
     for (const bool patching : {false, true}) {
@@ -168,11 +245,9 @@ TEST(MonoDispatch, EveryInteractivityModeRunsIdenticallyThroughTheMonoPath) {
         cfg.sim.patching.enabled = patching;
         cfg.sim.interactivity = sim::InteractivityConfig::parse(mode);
 
-        cfg.sim.monomorphize = true;
-        const auto mono = core::run_experiment(cfg, scenario);
-        cfg.sim.monomorphize = false;
-        const auto fallback = core::run_experiment(cfg, scenario);
-        expect_bit_identical(mono, fallback,
+        const auto kernel = core::run_experiment(cfg, scenario);
+        const auto virt = core::run_experiment(virtual_twin(cfg), scenario);
+        expect_bit_identical(kernel, virt,
                              std::string("interactivity=") + mode +
                                  (patching ? " + patching" : "") + " x " +
                                  estimator);
@@ -181,11 +256,33 @@ TEST(MonoDispatch, EveryInteractivityModeRunsIdenticallyThroughTheMonoPath) {
   }
 }
 
-TEST(MonoDispatch, TraceScenarioGridIdenticalWithAndWithoutMonomorphization) {
+/// The grid over `cells` on both engines: every cell's policy and the
+/// base estimator wrapped for the virtual run.
+void expect_grid_identical_on_both_engines(
+    const core::ExperimentConfig& cfg, const core::Scenario& scenario,
+    const std::vector<core::SweepCell>& cells) {
+  std::vector<core::SweepCell> virtual_cells = cells;
+  for (core::SweepCell& cell : virtual_cells) {
+    cell.policy = virtual_spec(cell.policy);
+  }
+  core::ExperimentConfig virtual_cfg = cfg;
+  virtual_cfg.sim.estimator = virtual_spec(cfg.sim.estimator);
+  const auto kernel = core::SweepRunner(cfg, scenario).run(cells);
+  const auto virt = core::SweepRunner(virtual_cfg, scenario).run(virtual_cells);
+  ASSERT_EQ(kernel.size(), cells.size());
+  ASSERT_EQ(virt.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    expect_bit_identical(kernel[i], virt[i],
+                         cells[i].policy + "/" + cells[i].interactivity +
+                             "/" + cells[i].fleet);
+  }
+}
+
+TEST(EngineDispatch, TraceScenarioGridIdenticalOnBothEngines) {
   // The trace-replay scenario feeds one shared workload (with recorded
-  // per-session viewing durations) through the same two dispatch paths;
-  // a mixed grid over policies, fractions, and interactivity modes must
-  // be field-identical.
+  // per-session viewing durations) through both engines; a mixed grid
+  // over policies, fractions, and interactivity modes must be
+  // field-identical.
   workload::WorkloadConfig wcfg;
   wcfg.catalog.num_objects = 90;
   wcfg.trace.num_requests = 2500;
@@ -210,48 +307,113 @@ TEST(MonoDispatch, TraceScenarioGridIdenticalWithAndWithoutMonomorphization) {
       cells.push_back(core::SweepCell{policy, -1.0, 0.05, mode, {}, {}});
     }
   }
-
-  core::ExperimentConfig mono_cfg = small_config();
-  mono_cfg.sim.monomorphize = true;
-  const auto mono = core::SweepRunner(mono_cfg, scenario).run(cells);
-
-  core::ExperimentConfig fallback_cfg = small_config();
-  fallback_cfg.sim.monomorphize = false;
-  const auto fallback = core::SweepRunner(fallback_cfg, scenario).run(cells);
-
-  ASSERT_EQ(mono.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    expect_bit_identical(mono[i], fallback[i],
-                         cells[i].policy + "/" + cells[i].interactivity);
-  }
+  expect_grid_identical_on_both_engines(small_config(), scenario, cells);
 }
 
-TEST(MonoDispatch, SweepGridIdenticalWithAndWithoutMonomorphization) {
+TEST(EngineDispatch, SweepGridIdenticalOnBothEngines) {
   // Whole-grid regression: shared workloads + shared path models + the
-  // per-worker arena path vs the PR-3-era fallback across a mixed grid.
+  // per-worker arenas across a mixed grid.
   std::vector<core::SweepCell> cells;
   for (const char* policy : {"pb", "ib", "lru"}) {
     for (const double fraction : {0.01, 0.05}) {
       cells.push_back(core::SweepCell{policy, -1.0, fraction, {}, {}, {}});
     }
   }
+  expect_grid_identical_on_both_engines(
+      small_config(), core::measured_variability_scenario(), cells);
+}
+
+// ------------------------------------------------------------ fleet cells
+
+/// The fleet cells of the matrix: 4 proxies, hash sharding or random
+/// sharding with cooperation, a finite shared uplink, and (via
+/// fleet_config) patching, exp sessions and an outage of region 1.
+const char* const kFleetSpecs[] = {
+    "fleet:proxies=4,regions=2,sharding=hash:vnodes=16,uplink_mbps=20,"
+    "burst_mb=2",
+    "fleet:proxies=4,regions=2,sharding=random,coop=1,uplink_mbps=20,"
+    "burst_mb=2"};
+
+// The 3000-request trace spans ~20k seconds; the outage sits inside the
+// measured second half.
+constexpr const char* kRegionOutage = "fault:outage=12000+4000@region1";
+
+SimulationConfig fleet_config(const std::string& policy,
+                              const std::string& estimator,
+                              const workload::CatalogConfig& catalog) {
+  SimulationConfig config;
+  config.policy = policy;
+  config.estimator = estimator;
+  config.cache_capacity_bytes = core::capacity_for_fraction(catalog, 0.05);
+  config.patching.enabled = true;
+  config.interactivity = InteractivityConfig::parse("exp:mean=600");
+  config.fault = net::FaultPlan::parse(kRegionOutage);
+  config.path_config.mode = net::VariationMode::kIidRatio;
+  config.seed = 4242;
+  return config;
+}
+
+TEST(EngineDispatch, FleetCellsIdenticalOnBothEnginesForEveryRegisteredPair) {
+  // A fleet cell is N proxies on the same loop and the same engines:
+  // per proxy, per field, the kernel engine equals the virtual engine
+  // for every registered pair.
   const auto scenario = core::measured_variability_scenario();
+  workload::WorkloadConfig wcfg = small_config().workload;
+  util::Rng wl_rng(88);
+  const auto stream = workload::RequestStream::replay(
+      std::make_shared<const workload::Workload>(
+          workload::generate_workload(wcfg, wl_rng)));
+  std::uint64_t denied = 0;
+  for (const auto& policy : builtin_names(core::registry::Kind::kPolicy)) {
+    for (const auto& estimator :
+         builtin_names(core::registry::Kind::kEstimator)) {
+      const SimulationConfig kernel_cfg =
+          fleet_config(policy, estimator, wcfg.catalog);
+      SimulationConfig virtual_cfg = kernel_cfg;
+      virtual_cfg.policy = virtual_spec(policy);
+      virtual_cfg.estimator = virtual_spec(estimator);
+      for (const char* spec : kFleetSpecs) {
+        const fleet::FleetConfig shape = fleet::FleetConfig::parse(spec);
+        const auto kernel = fleet::run_fleet(stream, shape, kernel_cfg,
+                                             nullptr, &scenario.base,
+                                             &scenario.ratio);
+        const auto virt = fleet::run_fleet(stream, shape, virtual_cfg,
+                                           nullptr, &scenario.base,
+                                           &scenario.ratio);
+        expect_fleets_identical(kernel, virt,
+                                policy + " x " + estimator + " " + spec);
+        denied += kernel.aggregate.metrics.denied_requests();
+        // Proxies 0-1 are region 0: the scoped outage never reaches them.
+        EXPECT_EQ(kernel.per_proxy[0].denied_requests, 0u);
+        EXPECT_EQ(kernel.per_proxy[1].denied_requests, 0u);
+      }
+    }
+  }
+  EXPECT_GT(denied, 0u);  // the outage actually bit
+}
 
-  core::ExperimentConfig mono_cfg = small_config();
-  mono_cfg.sim.monomorphize = true;
-  const auto mono = core::SweepRunner(mono_cfg, scenario).run(cells);
-
-  core::ExperimentConfig fallback_cfg = small_config();
-  fallback_cfg.sim.monomorphize = false;
-  const auto fallback = core::SweepRunner(fallback_cfg, scenario).run(cells);
-
-  ASSERT_EQ(mono.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    expect_bit_identical(mono[i], fallback[i], cells[i].policy);
+TEST(EngineDispatch, FleetSweepCellsIdenticalOnBothEngines) {
+  // The same fleet cells through SweepRunner: per-worker arenas shared
+  // with single cells, at several thread counts.
+  std::vector<core::SweepCell> cells;
+  for (const char* spec : kFleetSpecs) {
+    cells.push_back(core::SweepCell{"pb", -1.0, 0.05, "exp:mean=600",
+                                    kRegionOutage, spec});
+  }
+  cells.push_back(core::SweepCell{"pb", -1.0, 0.05, "exp:mean=600", {}, {}});
+  core::ExperimentConfig cfg = small_config();
+  cfg.sim.estimator = "ewma";
+  cfg.sim.patching.enabled = true;
+  for (const std::size_t threads : {1, 3}) {
+    cfg.threads = threads;
+    expect_grid_identical_on_both_engines(
+        cfg, core::measured_variability_scenario(), cells);
   }
 }
 
-TEST(MonoDispatch, ArenaReuseBitIdenticalToFreshConstruction) {
+// ------------------------------------------------------------ arena reuse
+
+TEST(EngineDispatch, ArenaReuseBitIdenticalToFreshConstruction) {
   // A worker's arena re-runs back-to-back simulations — different
   // workloads, seeds, capacities, interleaved (policy, estimator) pairs
   // — on rebound engines. Every rebound run must equal the run a fresh
@@ -301,7 +463,7 @@ TEST(MonoDispatch, ArenaReuseBitIdenticalToFreshConstruction) {
   EXPECT_EQ(reused.size(), 3u);
 }
 
-TEST(MonoDispatch, ArenaReuseBitIdenticalForTruncatedSessions) {
+TEST(EngineDispatch, ArenaReuseBitIdenticalForTruncatedSessions) {
   // Session dynamics add per-run draw state (the "session" RNG stream)
   // and truncated in-flight bookkeeping; none of it may leak between a
   // rebound engine's back-to-back runs. Interleave interactivity modes
@@ -339,25 +501,79 @@ TEST(MonoDispatch, ArenaReuseBitIdenticalForTruncatedSessions) {
 
     expect_results_identical(via_reused, via_fresh,
                              std::string("interactivity=") + mode);
-    EXPECT_EQ(via_reused.metrics.truncated_ratio(),
-              via_fresh.metrics.truncated_ratio())
-        << mode;
-    EXPECT_EQ(via_reused.metrics.average_viewed_fraction(),
-              via_fresh.metrics.average_viewed_fraction())
-        << mode;
   }
   // One cached engine: every mode reuses the same (policy, estimator)
   // slot — interactivity is per-run config, not an engine key.
   EXPECT_EQ(reused.size(), 1u);
 }
 
-TEST(MonoDispatch, UserRegisteredSpecsFallBackAndMatchBuiltins) {
+TEST(EngineDispatch, ArenaReuseAcrossFleetCellsBitIdenticalToFreshArena) {
+  // Fleet cells reuse the per-worker arena: one engine grows and shrinks
+  // between single cells and fleets of different sizes. Every run on
+  // the reused arena must equal the same run on a fresh one.
+  const auto scenario = core::measured_variability_scenario();
+  workload::WorkloadConfig wcfg = small_config().workload;
+  util::Rng wl_rng(17);
+  const auto stream = workload::RequestStream::replay(
+      std::make_shared<const workload::Workload>(
+          workload::generate_workload(wcfg, wl_rng)));
+  const struct {
+    const char* policy;
+    const char* estimator;
+    const char* fleet;  // "" = single cell
+  } runs[] = {
+      {"pb", "ewma", ""},
+      {"pb", "ewma", kFleetSpecs[0]},
+      {"lru", "probe:interval_s=600", kFleetSpecs[1]},
+      {"pb", "ewma", "fleet:proxies=2,sharding=random,coop=1"},
+      {"pb", "ewma", ""},
+      {"pb", "ewma", kFleetSpecs[1]},
+      {"test-virtual:of=pb", "ewma", kFleetSpecs[0]},
+      {"test-virtual:of=pb", "ewma", ""},
+  };
+  testing::register_virtual_components();
+
+  const auto run_on = [&](SimulationArena& arena, const SimulationConfig& cfg,
+                          const std::string& fleet_spec) {
+    std::optional<fleet::FleetConfig> shape;
+    std::optional<fleet::FleetRun> fleet_run;
+    if (!fleet_spec.empty()) {
+      shape.emplace(fleet::FleetConfig::parse(fleet_spec));
+      fleet_run.emplace(*shape, cfg.seed);
+    }
+    MonoRunContext context;
+    context.stream = &stream;
+    context.base = &scenario.base;
+    context.ratio = &scenario.ratio;
+    context.config = &cfg;
+    context.seed = cfg.seed;
+    context.fleet = fleet_run.has_value() ? &*fleet_run : nullptr;
+    SimulationResult r = acquire_mono_engine(arena, cfg)->run(context);
+    return fleet_run.has_value() ? fleet_run->finish(std::move(r))
+                                 : fleet::FleetResult{std::move(r), {}};
+  };
+
+  SimulationArena reused;
+  std::uint64_t seed = 60;
+  for (const auto& r : runs) {
+    SimulationConfig cfg = fleet_config(r.policy, r.estimator, wcfg.catalog);
+    cfg.seed = ++seed;
+    SimulationArena fresh;
+    expect_fleets_identical(run_on(reused, cfg, r.fleet),
+                            run_on(fresh, cfg, r.fleet),
+                            std::string(r.policy) + " x " + r.estimator +
+                                " " + r.fleet);
+  }
+  EXPECT_EQ(reused.size(), 3u);
+}
+
+TEST(EngineDispatch, UserRegisteredSpecsRunOnTheVirtualEngineAndMatchBuiltins) {
   // A self-registered policy constructing the very same PbPolicy type is
-  // out of the dispatch table, so it runs on the virtual fallback — and
-  // must still produce exactly the metrics the monomorphized built-in
-  // "pb" produces.
+  // out of the dispatch table, so it runs on the virtual engine — and
+  // must still produce exactly the metrics the built-in "pb" kernel
+  // engine produces.
   static const core::registry::PolicyRegistrar registrar(
-      {"test-mono-pb", {}, "test-only PB clone (fallback path)", {}},
+      {"test-mono-pb", {}, "test-only PB clone (virtual engine)", {}},
       [](const util::Spec&, const core::registry::PolicyContext& ctx) {
         return std::make_unique<cache::PbPolicy>(ctx.catalog, ctx.estimator);
       });

@@ -12,7 +12,11 @@
 #include <filesystem>
 
 #include "core/registry.h"
+#include "sim/simulator.h"
+#include "stats/summary.h"
+#include "util/rng.h"
 #include "util/spec.h"
+#include "workload/generator.h"
 #include "workload/trace.h"
 
 namespace sc::core {
@@ -109,31 +113,48 @@ TEST(SweepRunner, CellsInheritBaseDefaults) {
 TEST(SweepRunner, SharedPathModelsBitIdenticalToPerCellConstruction) {
   // The tentpole guarantee of the PathModel split: one immutable model
   // per replication, shared by every cell, produces exactly the metrics
-  // of per-simulation model construction (the model snapshots its
-  // post-draw RNG state, so samplers continue the identical stream).
+  // of standalone simulations that draw their own model (the model
+  // snapshots its post-draw RNG state, so samplers continue the
+  // identical stream).
   const auto cells = fig5_shaped_cells();
   // Exercise the iid-ratio sampler path too, not just constant means.
   const auto scenario = measured_variability_scenario();
+  const ExperimentConfig cfg = small_config();
+  SweepStats sweep_stats;
+  const auto swept = SweepRunner(cfg, scenario).run(cells, &sweep_stats);
+  ASSERT_EQ(swept.size(), cells.size());
+  EXPECT_EQ(sweep_stats.path_models_built, cfg.runs);
 
-  ExperimentConfig shared_cfg = small_config();
-  shared_cfg.share_path_models = true;
-  SweepStats shared_stats;
-  const auto shared =
-      SweepRunner(shared_cfg, scenario).run(cells, &shared_stats);
-
-  ExperimentConfig unshared_cfg = small_config();
-  unshared_cfg.share_path_models = false;
-  SweepStats unshared_stats;
-  const auto unshared =
-      SweepRunner(unshared_cfg, scenario).run(cells, &unshared_stats);
-
-  ASSERT_EQ(shared.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    expect_bit_identical(shared[i], unshared[i]);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    stats::RunningStats traffic, delay, quality, value, hit;
+    for (std::size_t r = 0; r < cfg.runs; ++r) {
+      // The sweep's paired-seed derivation: one workload stream and one
+      // path seed per replication.
+      const util::Rng run_rng(util::splitmix64(cfg.base_seed + 0x9e37 * r));
+      util::Rng workload_rng = run_rng.fork("workload");
+      const auto w = workload::generate_workload(cfg.workload, workload_rng);
+      sim::SimulationConfig sim_cfg = cfg.sim;
+      sim_cfg.policy = cells[c].policy;
+      sim_cfg.cache_capacity_bytes =
+          capacity_for_fraction(cfg.workload.catalog, cells[c].cache_fraction);
+      sim_cfg.path_config.mode = scenario.mode;
+      sim_cfg.seed = run_rng.fork("paths").seed();
+      const auto result =
+          sim::Simulator(w, scenario.base, scenario.ratio, sim_cfg).run();
+      traffic.add(result.metrics.traffic_reduction_ratio());
+      delay.add(result.metrics.average_delay_s());
+      quality.add(result.metrics.average_quality());
+      value.add(result.metrics.total_added_value());
+      hit.add(result.metrics.hit_ratio());
+    }
+    EXPECT_EQ(swept[c].traffic_reduction, traffic.mean()) << c;
+    EXPECT_EQ(swept[c].traffic_reduction_sd, traffic.stddev()) << c;
+    EXPECT_EQ(swept[c].delay_s, delay.mean()) << c;
+    EXPECT_EQ(swept[c].delay_s_sd, delay.stddev()) << c;
+    EXPECT_EQ(swept[c].quality, quality.mean()) << c;
+    EXPECT_EQ(swept[c].added_value, value.mean()) << c;
+    EXPECT_EQ(swept[c].hit_ratio, hit.mean()) << c;
   }
-  // One model per replication when sharing, one per simulation when not.
-  EXPECT_EQ(shared_stats.path_models_built, shared_cfg.runs);
-  EXPECT_EQ(unshared_stats.path_models_built, cells.size() * shared_cfg.runs);
 }
 
 TEST(SweepRunner, StatsCountWorkloadsAndModels) {
