@@ -106,20 +106,15 @@ struct RunState {
   /// One entry per proxy (one for the single cell).
   std::vector<ProxyState> proxies;
 
-  /// Prepare a single-proxy run over `stream` and `model` (bit-identical
-  /// to building each member from scratch; storage reused). `chunk` is
-  /// the cursor block size (SimulationConfig::stream_chunk) — results
-  /// are identical for every value, only locality changes.
+  /// Prepare a run of `n_proxies` proxies of `capacity_bytes` each over
+  /// `stream` and `model` (bit-identical to building each member from
+  /// scratch; storage reused). `chunk` is the cursor block size
+  /// (SimulationConfig::stream_chunk) — results are identical for every
+  /// value, only locality changes.
   void reset(const workload::RequestStream& stream, std::size_t chunk,
              std::shared_ptr<const net::PathModel> model,
-             double capacity_bytes, bool patching) {
-    reset(stream, chunk, std::move(model), capacity_bytes, patching, 1);
-  }
-
-  /// As above for `n_proxies` proxies of `capacity_bytes` each.
-  void reset(const workload::RequestStream& stream, std::size_t chunk,
-             std::shared_ptr<const net::PathModel> model,
-             double capacity_bytes, bool patching, std::size_t n_proxies) {
+             double capacity_bytes, bool patching,
+             std::size_t n_proxies = 1) {
     const std::size_t n_objects = stream.catalog().size();
     proxies.resize(n_proxies);
     for (ProxyState& proxy : proxies) {
