@@ -1,7 +1,6 @@
 #include "core/sweep.h"
 
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -64,24 +63,13 @@ RunOutcome simulate_one(const workload::RequestStream& stream,
                         std::shared_ptr<const net::PathModel> path_model,
                         sim::SimulationArena& arena,
                         const fleet::FleetConfig* fleet_config) {
-  std::optional<fleet::FleetRun> fleet_run;
-  if (fleet_config != nullptr) fleet_run.emplace(*fleet_config, path_seed);
-  sim::MonoRunContext context;
-  context.stream = &stream;
-  context.model = std::move(path_model);
-  context.base = &scenario.base;
-  context.ratio = &scenario.ratio;
-  context.config = &sim_config;
-  context.seed = path_seed;
-  context.fleet = fleet_run.has_value() ? &*fleet_run : nullptr;
-  sim::SimulationResult r =
-      sim::acquire_mono_engine(arena, sim_config)->run(context);
-  if (!fleet_run.has_value()) return extract_outcome(r);
-  const fleet::FleetResult fr = fleet_run->finish(std::move(r));
-  RunOutcome out = extract_outcome(fr.aggregate);
-  out.uplink_utilization = fr.uplink_utilization;
-  out.load_imbalance = fr.load_imbalance;
-  out.peer_hit_ratio = fr.peer_hit_ratio;
+  const fleet::FleetResult r =
+      fleet::run_cell(arena, stream, fleet_config, sim_config, path_seed,
+                      std::move(path_model), &scenario.base, &scenario.ratio);
+  RunOutcome out = extract_outcome(r.aggregate);
+  out.uplink_utilization = r.uplink_utilization;
+  out.load_imbalance = r.load_imbalance;
+  out.peer_hit_ratio = r.peer_hit_ratio;
   return out;
 }
 

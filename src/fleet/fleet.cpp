@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -109,6 +110,29 @@ FleetResult FleetRun::finish(sim::SimulationResult aggregate) {
   return result;
 }
 
+FleetResult run_cell(sim::SimulationArena& arena,
+                     const workload::RequestStream& stream,
+                     const FleetConfig* fleet,
+                     const sim::SimulationConfig& config, std::uint64_t seed,
+                     std::shared_ptr<const net::PathModel> path_model,
+                     const stats::EmpiricalDistribution* base,
+                     const stats::EmpiricalDistribution* ratio) {
+  std::optional<FleetRun> run;
+  if (fleet != nullptr) run.emplace(*fleet, seed);
+  sim::MonoRunContext context;
+  context.stream = &stream;
+  context.model = std::move(path_model);
+  context.base = base;
+  context.ratio = ratio;
+  context.config = &config;
+  context.seed = seed;
+  context.fleet = run.has_value() ? &*run : nullptr;
+  sim::SimulationResult result =
+      sim::acquire_mono_engine(arena, config)->run(context);
+  if (!run.has_value()) return FleetResult{std::move(result), {}};
+  return run->finish(std::move(result));
+}
+
 FleetResult run_fleet(const workload::RequestStream& stream,
                       const FleetConfig& fleet,
                       const sim::SimulationConfig& config,
@@ -127,17 +151,9 @@ FleetResult run_fleet(const workload::RequestStream& stream,
   if (path_model == nullptr && (base == nullptr || ratio == nullptr)) {
     throw std::invalid_argument("run_fleet: null path model");
   }
-  FleetRun run(fleet, config.seed);
-  sim::MonoRunContext context;
-  context.stream = &stream;
-  context.model = std::move(path_model);
-  context.base = base;
-  context.ratio = ratio;
-  context.config = &config;
-  context.seed = config.seed;
-  context.fleet = &run;
   sim::SimulationArena arena;
-  return run.finish(sim::acquire_mono_engine(arena, config)->run(context));
+  return run_cell(arena, stream, &fleet, config, config.seed,
+                  std::move(path_model), base, ratio);
 }
 
 }  // namespace sc::fleet

@@ -189,15 +189,27 @@ struct FleetRun {
   [[nodiscard]] FleetResult finish(sim::SimulationResult aggregate);
 };
 
+/// One simulation of `config`'s (policy, estimator) pair on its engine
+/// from `arena` (sim/arena.h): a fleet cell of `*fleet`, or the single
+/// cell when `fleet` is null (then only `aggregate` is set and the fleet
+/// diagnostics keep their defaults). `seed` is the run's root seed and
+/// overrides `config.seed`; `path_model` may be null, in which case the
+/// model is drawn from the seed (`base`/`ratio` must then be non-null).
+/// sim::Simulator, run_fleet and core::SweepRunner all run through here.
+[[nodiscard]] FleetResult run_cell(
+    sim::SimulationArena& arena, const workload::RequestStream& stream,
+    const FleetConfig* fleet, const sim::SimulationConfig& config,
+    std::uint64_t seed, std::shared_ptr<const net::PathModel> path_model,
+    const stats::EmpiricalDistribution* base,
+    const stats::EmpiricalDistribution* ratio);
+
 /// Run one fleet cell over `stream`. `config` supplies the per-proxy
 /// component specs, the *aggregate* cache budget
 /// (cache_capacity_bytes / proxies per proxy), interactivity/viewing/
 /// patching extensions, the fault plan, and the run seed. `path_model`
 /// may be null, in which case the model is drawn from the seed exactly
 /// as sim::Simulator does (`base`/`ratio` must then be non-null).
-/// Builds a FleetRun and makes one engine call (sim/arena.h) on a
-/// run-local arena; core::SweepRunner does the same on its per-worker
-/// arenas.
+/// Validates its arguments and runs the cell on a run-local arena.
 [[nodiscard]] FleetResult run_fleet(
     const workload::RequestStream& stream, const FleetConfig& fleet,
     const sim::SimulationConfig& config,

@@ -19,7 +19,8 @@
 // distinct specs).
 //
 // acquire_mono_engine is the only dispatch: sim::Simulator,
-// fleet::run_fleet and core::SweepRunner all run through it. Built-in
+// fleet::run_fleet and core::SweepRunner all reach it through
+// fleet::run_cell (fleet/fleet.h). Built-in
 // pairs (the registry's 8 x 4 policy x estimator spec space) get a
 // kernel engine with every per-request call inlined; any other pair —
 // user-registered components — gets an engine over the virtual

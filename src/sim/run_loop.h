@@ -16,8 +16,8 @@
 // The request cursor, the §2.2 delivery table and the path sampler are
 // shared by every proxy; each proxy has its own store, observation
 // queue, in-flight table and fault schedule (ProxyState). "Single cell
-// or fleet" is a compile-time parameter of the one body, so the single
-// cell pays nothing for the fleet couplings.
+// or fleet" is the null test of the fleet argument: each fleet coupling
+// is one predictable branch the single cell never takes.
 //
 // The loop is instantiated by the engines of sim/monomorphize.cpp, the
 // only dispatch (sim/arena.h):
@@ -137,19 +137,27 @@ struct RunState {
   }
 };
 
-namespace detail {
-
-/// The loop body. `kernels[p]` is proxy p's decision machinery over
-/// `state.proxies[p]`; kFleet == (fleet != nullptr).
-template <bool kFleet, typename Policy, typename Estimator>
-[[nodiscard]] SimulationResult request_loop(
+/// Execute the full trace over N proxies and return the measured-window
+/// metrics, aggregated in request order. `kernels[p]` must be built over
+/// `state.proxies[p]`'s store and observation queue, for every proxy of
+/// `state` (reset with n_proxies == fleet->config->proxies). A null
+/// `fleet` is the single cell: only proxy 0 runs.
+///
+/// `rng` must be the run's root stream (Rng(seed), with "paths" already
+/// forked off by the caller if it built the model here); the loop forks
+/// only tag-keyed children, so fork order elsewhere cannot perturb it.
+/// `Policy` needs on_access(id, now_s, store) and name(); `Estimator`
+/// needs observe(path, throughput, now_s) and overhead_packets(), plus
+/// either uses_observations() or the kernel kUsesObservations constant.
+template <typename Policy, typename Estimator>
+[[nodiscard]] SimulationResult run_request_loop(
     const workload::RequestStream& stream, const SimulationConfig& config,
     RunState& state, DecisionKernel<Policy, Estimator>* kernels,
     util::Rng& rng, fleet::FleetRun* fleet) {
   const workload::Catalog& catalog = stream.catalog();
   const std::size_t total_requests = stream.num_requests();
   const workload::CatalogView view = catalog.view();
-  const std::size_t n = kFleet ? state.proxies.size() : 1;
+  const std::size_t n = fleet != nullptr ? state.proxies.size() : 1;
 
   net::PathSampler& paths = *state.paths;
   const net::PathModel& model = paths.model();
@@ -190,11 +198,11 @@ template <bool kFleet, typename Policy, typename Estimator>
   for (std::size_t p = 0; p < n; ++p) {
     ProxyState& proxy = state.proxies[p];
     if (have_faults) {
-      net::FaultScope scope;
-      if constexpr (kFleet) {
-        scope = net::FaultScope{static_cast<std::uint32_t>(p),
-                                fleet->config->region_of(p)};
-      }
+      const net::FaultScope scope =
+          fleet != nullptr
+              ? net::FaultScope{static_cast<std::uint32_t>(p),
+                                fleet->config->region_of(p)}
+              : net::FaultScope{};
       proxy.faults.compile(config.fault, model.size(), fault_seed, scope);
       kernels[p].set_faults(&proxy.faults);
     } else {
@@ -202,12 +210,6 @@ template <bool kFleet, typename Policy, typename Estimator>
       kernels[p].set_faults(nullptr);
     }
   }
-  // The single cell works on local copies of its one kernel and proxy
-  // reference (kernels are a few pointers), exactly the shape of a loop
-  // with no proxy array at all.
-  DecisionKernel<Policy, Estimator> solo = kernels[0];
-  ProxyState& solo_proxy = state.proxies[0];
-
   MetricsCollector metrics;
   const auto warm_count = static_cast<std::size_t>(
       static_cast<double>(total_requests) * config.warmup_fraction);
@@ -250,14 +252,13 @@ template <bool kFleet, typename Policy, typename Estimator>
       // cooperation (coop == 0), and the shared uplink bucket
       // (uplink_mbps == 0).
       std::uint32_t p = 0;
-      if constexpr (kFleet) {
+      if (fleet != nullptr) {
         if (idx == 0) fleet->t_first = now_s;
         fleet->t_last = now_s;
         if (n > 1) p = fleet->sharder.proxy_for(idx, id);
       }
-      DecisionKernel<Policy, Estimator>& decisions =
-          kFleet ? kernels[p] : solo;
-      ProxyState& proxy = kFleet ? state.proxies[p] : solo_proxy;
+      DecisionKernel<Policy, Estimator>& decisions = kernels[p];
+      ProxyState& proxy = state.proxies[p];
       // Deliver pending transfer-completion observations first.
       decisions.tick(now_s);
 
@@ -352,25 +353,23 @@ template <bool kFleet, typename Policy, typename Estimator>
       // uplink) at one peer hop of extra prefetch wait; startup
       // immediacy is the local §2.2 outcome either way. Outages are not
       // bypassed: a cache-only request has bytes_from_origin == 0.
-      [[maybe_unused]] double peer_extra = 0.0;
-      if constexpr (kFleet) {
-        if (fleet->coop && outcome.bytes_from_origin > 0) {
-          double best = 0.0;
-          for (std::size_t q = 0; q < n; ++q) {
-            if (q == p) continue;
-            best = std::max(best, state.proxies[q].store.cached(id));
-          }
-          peer_extra = std::min(outcome.bytes_from_origin,
-                                std::max(0.0, best - outcome.bytes_from_cache));
-          if (peer_extra > 0.0) {
-            outcome.bytes_shared += peer_extra;
-            outcome.bytes_from_origin -= peer_extra;
-            outcome.origin_transfer_s = outcome.bytes_from_origin > 0
-                                            ? outcome.bytes_from_origin / bw
-                                            : 0.0;
-            if (outcome.delay_s > 0.0) {
-              outcome.delay_s += fleet->config->peer_latency_s;
-            }
+      double peer_extra = 0.0;
+      if (fleet != nullptr && fleet->coop && outcome.bytes_from_origin > 0) {
+        double best = 0.0;
+        for (std::size_t q = 0; q < n; ++q) {
+          if (q == p) continue;
+          best = std::max(best, state.proxies[q].store.cached(id));
+        }
+        peer_extra = std::min(outcome.bytes_from_origin,
+                              std::max(0.0, best - outcome.bytes_from_cache));
+        if (peer_extra > 0.0) {
+          outcome.bytes_shared += peer_extra;
+          outcome.bytes_from_origin -= peer_extra;
+          outcome.origin_transfer_s = outcome.bytes_from_origin > 0
+                                          ? outcome.bytes_from_origin / bw
+                                          : 0.0;
+          if (outcome.delay_s > 0.0) {
+            outcome.delay_s += fleet->config->peer_latency_s;
           }
         }
       }
@@ -406,17 +405,16 @@ template <bool kFleet, typename Policy, typename Estimator>
       // drains the fleet-wide token bucket; a drained bucket queues the
       // transfer, stretching it (and the throughput passive estimators
       // observe) and delaying playout — the cross-proxy coupling.
-      if constexpr (kFleet) {
-        if (fleet->uplink.enabled() && outcome.bytes_from_origin > 0) {
-          const double wait_s =
-              fleet->uplink.acquire(now_s, outcome.bytes_from_origin);
-          if (wait_s > 0.0) {
-            outcome.delay_s += wait_s;
-            outcome.immediate = false;
-            outcome.origin_transfer_s += wait_s;
-            outcome.origin_throughput =
-                outcome.bytes_from_origin / outcome.origin_transfer_s;
-          }
+      if (fleet != nullptr && fleet->uplink.enabled() &&
+          outcome.bytes_from_origin > 0) {
+        const double wait_s =
+            fleet->uplink.acquire(now_s, outcome.bytes_from_origin);
+        if (wait_s > 0.0) {
+          outcome.delay_s += wait_s;
+          outcome.immediate = false;
+          outcome.origin_transfer_s += wait_s;
+          outcome.origin_throughput =
+              outcome.bytes_from_origin / outcome.origin_transfer_s;
         }
       }
 
@@ -435,7 +433,7 @@ template <bool kFleet, typename Policy, typename Estimator>
         if (interactive) {
           metrics.record_session(viewed_fraction, viewed_fraction < 1.0);
         }
-        if constexpr (kFleet) {
+        if (fleet != nullptr) {
           fleet::ProxyStats& ps = fleet->per_proxy[p];
           ++ps.requests;
           if (cached_before > 0.0) ++ps.hits;
@@ -470,7 +468,7 @@ template <bool kFleet, typename Policy, typename Estimator>
         // Growth of this object's prefix is origin->cache fill traffic.
         if (measured && cached_after > cached_before) {
           metrics.record_fill(cached_after - cached_before);
-          if constexpr (kFleet) {
+          if (fleet != nullptr) {
             fleet->per_proxy[p].fill_bytes += cached_after - cached_before;
           }
         }
@@ -479,11 +477,7 @@ template <bool kFleet, typename Policy, typename Estimator>
   }
 
   SimulationResult result;
-  if constexpr (kFleet) {
-    for (std::size_t p = 0; p < n; ++p) kernels[p].drain();
-  } else {
-    solo.drain();
-  }
+  for (std::size_t p = 0; p < n; ++p) kernels[p].drain();
   result.policy_name = kernels[0].policy().name();
   result.metrics = metrics;
   result.warmup_requests = warm_count;
@@ -497,33 +491,6 @@ template <bool kFleet, typename Policy, typename Estimator>
   return result;
 }
 
-}  // namespace detail
-
-/// Execute the full trace over N proxies and return the measured-window
-/// metrics, aggregated in request order. `kernels[p]` must be built over
-/// `state.proxies[p]`'s store and observation queue, for every proxy of
-/// `state` (reset with n_proxies == fleet->config->proxies). A null
-/// `fleet` is the single cell: only proxy 0 runs.
-///
-/// `rng` must be the run's root stream (Rng(seed), with "paths" already
-/// forked off by the caller if it built the model here); the loop forks
-/// only tag-keyed children, so fork order elsewhere cannot perturb it.
-/// `Policy` needs on_access(id, now_s, store) and name(); `Estimator`
-/// needs observe(path, throughput, now_s) and overhead_packets(), plus
-/// either uses_observations() or the kernel kUsesObservations constant.
-template <typename Policy, typename Estimator>
-[[nodiscard]] SimulationResult run_request_loop(
-    const workload::RequestStream& stream, const SimulationConfig& config,
-    RunState& state, DecisionKernel<Policy, Estimator>* kernels,
-    util::Rng& rng, fleet::FleetRun* fleet) {
-  if (fleet != nullptr) {
-    return detail::request_loop<true>(stream, config, state, kernels, rng,
-                                      fleet);
-  }
-  return detail::request_loop<false>(stream, config, state, kernels, rng,
-                                     nullptr);
-}
-
 /// The single-proxy entry: one (policy, estimator) pair over `state`
 /// (reset for one proxy).
 template <typename Policy, typename Estimator>
@@ -533,8 +500,7 @@ template <typename Policy, typename Estimator>
   DecisionKernel<Policy, Estimator> kernel(policy, estimator,
                                            state.proxies[0].store,
                                            state.proxies[0].events);
-  return detail::request_loop<false>(stream, config, state, &kernel, rng,
-                                     nullptr);
+  return run_request_loop(stream, config, state, &kernel, rng, nullptr);
 }
 
 }  // namespace sc::sim

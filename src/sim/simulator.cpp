@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/registry.h"
+#include "fleet/fleet.h"
 #include "sim/arena.h"
 
 namespace sc::sim {
@@ -95,14 +96,10 @@ SimulationResult Simulator::run() { return run(nullptr); }
 SimulationResult Simulator::run(SimulationArena* arena) {
   std::optional<SimulationArena> local;
   SimulationArena& cache = arena != nullptr ? *arena : local.emplace();
-  MonoRunContext context;
-  context.stream = &stream_;
-  context.model = path_model_;
-  context.base = base_.has_value() ? &*base_ : nullptr;
-  context.ratio = ratio_.has_value() ? &*ratio_ : nullptr;
-  context.config = &config_;
-  context.seed = config_.seed;
-  return acquire_mono_engine(cache, config_)->run(context);
+  return fleet::run_cell(cache, stream_, nullptr, config_, config_.seed,
+                         path_model_, base_.has_value() ? &*base_ : nullptr,
+                         ratio_.has_value() ? &*ratio_ : nullptr)
+      .aggregate;
 }
 
 }  // namespace sc::sim

@@ -536,21 +536,12 @@ TEST(EngineDispatch, ArenaReuseAcrossFleetCellsBitIdenticalToFreshArena) {
   const auto run_on = [&](SimulationArena& arena, const SimulationConfig& cfg,
                           const std::string& fleet_spec) {
     std::optional<fleet::FleetConfig> shape;
-    std::optional<fleet::FleetRun> fleet_run;
     if (!fleet_spec.empty()) {
       shape.emplace(fleet::FleetConfig::parse(fleet_spec));
-      fleet_run.emplace(*shape, cfg.seed);
     }
-    MonoRunContext context;
-    context.stream = &stream;
-    context.base = &scenario.base;
-    context.ratio = &scenario.ratio;
-    context.config = &cfg;
-    context.seed = cfg.seed;
-    context.fleet = fleet_run.has_value() ? &*fleet_run : nullptr;
-    SimulationResult r = acquire_mono_engine(arena, cfg)->run(context);
-    return fleet_run.has_value() ? fleet_run->finish(std::move(r))
-                                 : fleet::FleetResult{std::move(r), {}};
+    return fleet::run_cell(arena, stream, shape ? &*shape : nullptr, cfg,
+                           cfg.seed, nullptr, &scenario.base,
+                           &scenario.ratio);
   };
 
   SimulationArena reused;

@@ -126,7 +126,8 @@ TEST(SweepRunner, SharedPathModelsBitIdenticalToPerCellConstruction) {
   EXPECT_EQ(sweep_stats.path_models_built, cfg.runs);
 
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    stats::RunningStats traffic, delay, quality, value, hit;
+    stats::RunningStats traffic, delay, quality, value, hit, immediate, fill,
+        occupancy;
     for (std::size_t r = 0; r < cfg.runs; ++r) {
       // The sweep's paired-seed derivation: one workload stream and one
       // path seed per replication.
@@ -146,14 +147,27 @@ TEST(SweepRunner, SharedPathModelsBitIdenticalToPerCellConstruction) {
       quality.add(result.metrics.average_quality());
       value.add(result.metrics.total_added_value());
       hit.add(result.metrics.hit_ratio());
+      immediate.add(result.metrics.immediate_ratio());
+      fill.add(result.metrics.fill_bytes());
+      occupancy.add(result.final_occupancy_bytes);
     }
-    EXPECT_EQ(swept[c].traffic_reduction, traffic.mean()) << c;
-    EXPECT_EQ(swept[c].traffic_reduction_sd, traffic.stddev()) << c;
-    EXPECT_EQ(swept[c].delay_s, delay.mean()) << c;
-    EXPECT_EQ(swept[c].delay_s_sd, delay.stddev()) << c;
-    EXPECT_EQ(swept[c].quality, quality.mean()) << c;
-    EXPECT_EQ(swept[c].added_value, value.mean()) << c;
-    EXPECT_EQ(swept[c].hit_ratio, hit.mean()) << c;
+    // SweepRunner's mean/sd reduction, field for field.
+    AveragedMetrics standalone;
+    standalone.runs = cfg.runs;
+    standalone.traffic_reduction = traffic.mean();
+    standalone.traffic_reduction_sd = traffic.stddev();
+    standalone.delay_s = delay.mean();
+    standalone.delay_s_sd = delay.stddev();
+    standalone.quality = quality.mean();
+    standalone.quality_sd = quality.stddev();
+    standalone.added_value = value.mean();
+    standalone.added_value_sd = value.stddev();
+    standalone.hit_ratio = hit.mean();
+    standalone.immediate_ratio = immediate.mean();
+    standalone.fill_bytes = fill.mean();
+    standalone.occupancy_bytes = occupancy.mean();
+    SCOPED_TRACE(c);
+    expect_bit_identical(swept[c], standalone);
   }
 }
 
