@@ -892,50 +892,32 @@ int run(int argc, char** argv) {
   }
 
   if (!cfg.json_path.empty()) {
-    std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "warning: cannot write %s\n",
-                   cfg.json_path.c_str());
-    } else {
-      const double rps =
-          soak.wall_s > 0
-              ? static_cast<double>(soak.requests_simulated) / soak.wall_s
-              : 0.0;
-      std::fprintf(
-          f,
-          "{\n"
-          "  \"bench\": \"bench_chaos\",\n"
-          "  \"threads\": %zu,\n"
-          "  \"runs\": %zu,\n"
-          "  \"requests_per_run\": %zu,\n"
-          "  \"objects\": %zu,\n"
-          "  \"simulations\": %zu,\n"
-          "  \"requests_simulated\": %zu,\n"
-          "  \"drill_requests\": %zu,\n"
-          "  \"drill_errors\": %zu,\n"
-          "  \"error_rate\": %.6f,\n"
-          "  \"recovery_s\": %.6f,\n"
-          "  \"warm_recovery_s\": %.6f,\n"
-          "  \"cold_recovery_s\": %.6f,\n"
-          "  \"pre_outage_hit_ratio\": %.6f,\n"
-          "  \"lto\": %s,\n"
-          "  \"wall_s\": %.6f,\n"
-          "  \"requests_per_sec\": %.0f,\n"
-          "  \"allocations\": %llu,\n"
-          "  \"allocations_per_request\": -1.0,\n"
-          "  \"peak_rss_mb\": %.3f\n"
-          "}\n",
-          cfg.threads, cfg.runs, cfg.requests, cfg.objects,
-          2 * soak.cells * cfg.runs, soak.requests_simulated, drill.requests,
-          drill.errors, drill.error_rate, drill.recovery_s,
-          crash.warm_recovery_s, crash.cold_recovery_s,
-          drill.pre_hit_ratio, SC_LTO ? "true" : "false",
-          soak.wall_s + drill.wall_s + crash.wall_s, rps,
-          static_cast<unsigned long long>(sc::bench::allocation_count()),
-          sc::bench::peak_rss_mb());
-      std::fclose(f);
-      std::printf("[perf record written to %s]\n", cfg.json_path.c_str());
-    }
+    const double rps =
+        soak.wall_s > 0
+            ? static_cast<double>(soak.requests_simulated) / soak.wall_s
+            : 0.0;
+    sc::bench::PerfRecord()
+        .text("bench", "bench_chaos")
+        .count("threads", cfg.threads)
+        .count("runs", cfg.runs)
+        .count("requests_per_run", cfg.requests)
+        .count("objects", cfg.objects)
+        .count("simulations", 2 * soak.cells * cfg.runs)
+        .count("requests_simulated", soak.requests_simulated)
+        .count("drill_requests", drill.requests)
+        .count("drill_errors", drill.errors)
+        .fixed("error_rate", drill.error_rate, 6)
+        .fixed("recovery_s", drill.recovery_s, 6)
+        .fixed("warm_recovery_s", crash.warm_recovery_s, 6)
+        .fixed("cold_recovery_s", crash.cold_recovery_s, 6)
+        .fixed("pre_outage_hit_ratio", drill.pre_hit_ratio, 6)
+        .flag("lto", SC_LTO != 0)
+        .fixed("wall_s", soak.wall_s + drill.wall_s + crash.wall_s, 6)
+        .fixed("requests_per_sec", rps, 0)
+        .count("allocations", sc::bench::allocation_count())
+        .fixed("allocations_per_request", -1.0, 1)
+        .fixed("peak_rss_mb", sc::bench::peak_rss_mb(), 3)
+        .write(cfg.json_path);
   }
   return 0;
 }

@@ -184,52 +184,34 @@ int run_main(int argc, char** argv) {
         "coop cell still reports shared-uplink pressure");
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-    } else {
-      const double reqs = static_cast<double>(t.requests_simulated);
-      std::fprintf(
-          f,
-          "{\n"
-          "  \"bench\": \"bench_fleet\",\n"
-          "  \"threads\": %zu,\n"
-          "  \"runs\": %zu,\n"
-          "  \"requests_per_run\": %zu,\n"
-          "  \"objects\": %zu,\n"
-          "  \"proxies\": %zu,\n"
-          "  \"regions\": %zu,\n"
-          "  \"simulations\": %zu,\n"
-          "  \"workloads_generated\": %zu,\n"
-          "  \"path_models_built\": %zu,\n"
-          "  \"requests_simulated\": %zu,\n"
-          "  \"hit_ratio\": %.6f,\n"
-          "  \"load_imbalance\": %.6f,\n"
-          "  \"uplink_utilization\": %.6f,\n"
-          "  \"peer_hit_ratio\": %.6f,\n"
-          "  \"sim_wall_p50_ms\": %.3f,\n"
-          "  \"sim_wall_p95_ms\": %.3f,\n"
-          "  \"sim_wall_p99_ms\": %.3f,\n"
-          "  \"lto\": %s,\n"
-          "  \"wall_s\": %.6f,\n"
-          "  \"requests_per_sec\": %.0f,\n"
-          "  \"allocations\": %llu,\n"
-          "  \"allocations_per_request\": %.6f,\n"
-          "  \"peak_rss_mb\": %.3f\n"
-          "}\n",
-          t.threads, cfg.runs, t.requests_per_run, t.objects, proxies,
-          regions, t.simulations, t.workloads_generated, t.path_models_built,
-          t.requests_simulated, hash.hit_ratio, hash.load_imbalance,
-          uplink.uplink_utilization, coop.peer_hit_ratio,
-          t.sim_latency.p50 * 1e3, t.sim_latency.p95 * 1e3,
-          t.sim_latency.p99 * 1e3, SC_LTO ? "true" : "false", t.wall_s,
-          t.wall_s > 0 ? reqs / t.wall_s : 0.0,
-          static_cast<unsigned long long>(t.allocations),
-          reqs > 0 ? static_cast<double>(t.allocations) / reqs : 0.0,
-          t.peak_rss_mb);
-      std::fclose(f);
-      std::printf("[perf record written to %s]\n", json_path.c_str());
-    }
+    const double reqs = static_cast<double>(t.requests_simulated);
+    bench::PerfRecord()
+        .text("bench", "bench_fleet")
+        .count("threads", t.threads)
+        .count("runs", cfg.runs)
+        .count("requests_per_run", t.requests_per_run)
+        .count("objects", t.objects)
+        .count("proxies", proxies)
+        .count("regions", regions)
+        .count("simulations", t.simulations)
+        .count("workloads_generated", t.workloads_generated)
+        .count("path_models_built", t.path_models_built)
+        .count("requests_simulated", t.requests_simulated)
+        .fixed("hit_ratio", hash.hit_ratio, 6)
+        .fixed("load_imbalance", hash.load_imbalance, 6)
+        .fixed("uplink_utilization", uplink.uplink_utilization, 6)
+        .fixed("peer_hit_ratio", coop.peer_hit_ratio, 6)
+        .fixed("sim_wall_p50_ms", t.sim_latency.p50 * 1e3, 3)
+        .fixed("sim_wall_p95_ms", t.sim_latency.p95 * 1e3, 3)
+        .fixed("sim_wall_p99_ms", t.sim_latency.p99 * 1e3, 3)
+        .flag("lto", SC_LTO != 0)
+        .fixed("wall_s", t.wall_s, 6)
+        .fixed("requests_per_sec", t.wall_s > 0 ? reqs / t.wall_s : 0.0, 0)
+        .count("allocations", t.allocations)
+        .fixed("allocations_per_request",
+               reqs > 0 ? static_cast<double>(t.allocations) / reqs : 0.0, 6)
+        .fixed("peak_rss_mb", t.peak_rss_mb, 3)
+        .write(json_path);
   }
   return 0;
 }

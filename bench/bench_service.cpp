@@ -298,38 +298,24 @@ int run(int argc, char** argv) {
   }
 
   if (!cfg.json_path.empty()) {
-    std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "warning: cannot write %s\n",
-                   cfg.json_path.c_str());
-    } else {
-      std::fprintf(
-          f,
-          "{\n"
-          "  \"bench\": \"bench_service\",\n"
-          "  \"clients\": %zu,\n"
-          "  \"sessions\": %zu,\n"
-          "  \"requests\": %zu,\n"
-          "  \"bytes_total\": %.0f,\n"
-          "  \"hit_ratio\": %.6f,\n"
-          "  \"byte_hit_ratio\": %.6f,\n"
-          "  \"latency_p50_ms\": %.6f,\n"
-          "  \"latency_p95_ms\": %.6f,\n"
-          "  \"latency_p99_ms\": %.6f,\n"
-          "  \"latency_mean_ms\": %.6f,\n"
-          "  \"lto\": %s,\n"
-          "  \"wall_s\": %.6f,\n"
-          "  \"requests_per_sec\": %.0f,\n"
-          "  \"allocations\": %llu,\n"
-          "  \"allocations_per_request\": -1.0\n"
-          "}\n",
-          cfg.clients, sum.sessions, sum.requests, total_bytes, hit_ratio,
-          byte_hit_ratio, lat.p50 * 1e3, lat.p95 * 1e3, lat.p99 * 1e3,
-          lat.mean * 1e3, SC_LTO ? "true" : "false", wall_s, rps,
-          static_cast<unsigned long long>(allocs));
-      std::fclose(f);
-      std::printf("[perf record written to %s]\n", cfg.json_path.c_str());
-    }
+    sc::bench::PerfRecord()
+        .text("bench", "bench_service")
+        .count("clients", cfg.clients)
+        .count("sessions", sum.sessions)
+        .count("requests", sum.requests)
+        .fixed("bytes_total", total_bytes, 0)
+        .fixed("hit_ratio", hit_ratio, 6)
+        .fixed("byte_hit_ratio", byte_hit_ratio, 6)
+        .fixed("latency_p50_ms", lat.p50 * 1e3, 6)
+        .fixed("latency_p95_ms", lat.p95 * 1e3, 6)
+        .fixed("latency_p99_ms", lat.p99 * 1e3, 6)
+        .fixed("latency_mean_ms", lat.mean * 1e3, 6)
+        .flag("lto", SC_LTO != 0)
+        .fixed("wall_s", wall_s, 6)
+        .fixed("requests_per_sec", rps, 0)
+        .count("allocations", allocs)
+        .fixed("allocations_per_request", -1.0, 1)
+        .write(cfg.json_path);
   }
   return 0;
 }

@@ -315,47 +315,75 @@ std::vector<SweepPoint> sweep_alpha_and_cache(
   return points;
 }
 
-void write_bench_json(const FigureConfig& config,
-                      const SweepTelemetry& telemetry,
-                      const std::string& path) {
+PerfRecord& PerfRecord::add(const std::string& key, std::string value) {
+  fields_.emplace_back(key, std::move(value));
+  return *this;
+}
+
+PerfRecord& PerfRecord::text(const std::string& key, const std::string& value) {
+  return add(key, "\"" + value + "\"");
+}
+
+PerfRecord& PerfRecord::count(const std::string& key, std::uint64_t value) {
+  return add(key, std::to_string(value));
+}
+
+PerfRecord& PerfRecord::fixed(const std::string& key, double value,
+                              int decimals) {
+  const int n = std::snprintf(nullptr, 0, "%.*f", decimals, value);
+  std::string out(static_cast<std::size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", decimals, value);
+  return add(key, std::move(out));
+}
+
+PerfRecord& PerfRecord::flag(const std::string& key, bool value) {
+  return add(key, value ? "true" : "false");
+}
+
+void PerfRecord::write(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }
-  const double reqs = static_cast<double>(telemetry.requests_simulated);
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"bench\": \"%s\",\n"
-      "  \"threads\": %zu,\n"
-      "  \"runs\": %zu,\n"
-      "  \"requests_per_run\": %zu,\n"
-      "  \"objects\": %zu,\n"
-      "  \"simulations\": %zu,\n"
-      "  \"workloads_generated\": %zu,\n"
-      "  \"path_models_built\": %zu,\n"
-      "  \"requests_simulated\": %zu,\n"
-      "  \"lto\": %s,\n"
-      "  \"wall_s\": %.6f,\n"
-      "  \"requests_per_sec\": %.0f,\n"
-      "  \"allocations\": %llu,\n"
-      "  \"allocations_per_request\": %.6f,\n"
-      "  \"peak_rss_mb\": %.3f\n"
-      "}\n",
-      config.bench_name.c_str(), telemetry.threads, config.runs,
-      telemetry.requests_per_run, telemetry.objects, telemetry.simulations,
-      telemetry.workloads_generated, telemetry.path_models_built,
-      telemetry.requests_simulated,
-      // Resolved build flag (CMake's check_ipo_supported gate), so
-      // trajectory records are comparable across build configurations.
-      SC_LTO ? "true" : "false",
-      telemetry.wall_s, telemetry.wall_s > 0 ? reqs / telemetry.wall_s : 0.0,
-      static_cast<unsigned long long>(telemetry.allocations),
-      reqs > 0 ? static_cast<double>(telemetry.allocations) / reqs : 0.0,
-      telemetry.peak_rss_mb);
+  std::fputs("{\n", f);
+  for (std::size_t i = 0; i < fields_.size(); ++i) {
+    std::fprintf(f, "  \"%s\": %s%s\n", fields_[i].first.c_str(),
+                 fields_[i].second.c_str(),
+                 i + 1 < fields_.size() ? "," : "");
+  }
+  std::fputs("}\n", f);
   std::fclose(f);
   std::printf("[perf record written to %s]\n", path.c_str());
+}
+
+void write_bench_json(const FigureConfig& config,
+                      const SweepTelemetry& telemetry,
+                      const std::string& path) {
+  const double reqs = static_cast<double>(telemetry.requests_simulated);
+  PerfRecord()
+      .text("bench", config.bench_name)
+      .count("threads", telemetry.threads)
+      .count("runs", config.runs)
+      .count("requests_per_run", telemetry.requests_per_run)
+      .count("objects", telemetry.objects)
+      .count("simulations", telemetry.simulations)
+      .count("workloads_generated", telemetry.workloads_generated)
+      .count("path_models_built", telemetry.path_models_built)
+      .count("requests_simulated", telemetry.requests_simulated)
+      // Resolved build flag (CMake's check_ipo_supported gate), so
+      // trajectory records are comparable across build configurations.
+      .flag("lto", SC_LTO != 0)
+      .fixed("wall_s", telemetry.wall_s, 6)
+      .fixed("requests_per_sec",
+             telemetry.wall_s > 0 ? reqs / telemetry.wall_s : 0.0, 0)
+      .count("allocations", telemetry.allocations)
+      .fixed("allocations_per_request",
+             reqs > 0 ? static_cast<double>(telemetry.allocations) / reqs
+                      : 0.0,
+             6)
+      .fixed("peak_rss_mb", telemetry.peak_rss_mb, 3)
+      .write(path);
 }
 
 std::string metric_name(Metric metric) {

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -200,9 +201,31 @@ void print_latency_summary(const std::string& label,
 /// 0.0 if the call fails). A high-water mark: it never decreases.
 [[nodiscard]] double peak_rss_mb() noexcept;
 
-/// Write `telemetry` (plus workload shape from `config`) as a one-object
-/// JSON file — the BENCH_*.json format consumed by the CI perf-smoke
-/// job; see docs/PERF.md.
+/// One BENCH_*.json perf record (docs/PERF.md): a flat JSON object, one
+/// field per line in the order the fields were added, each value
+/// formatted as it is added. Every bench's --json goes through this
+/// writer.
+class PerfRecord {
+ public:
+  PerfRecord& text(const std::string& key, const std::string& value);
+  PerfRecord& count(const std::string& key, std::uint64_t value);
+  /// `value` with `decimals` digits after the point (printf "%.*f").
+  PerfRecord& fixed(const std::string& key, double value, int decimals);
+  PerfRecord& flag(const std::string& key, bool value);
+
+  /// Write the record to `path` and report it on stdout; warns on
+  /// stderr instead when the file cannot be opened.
+  void write(const std::string& path) const;
+
+ private:
+  PerfRecord& add(const std::string& key, std::string value);
+
+  std::vector<std::pair<std::string, std::string>> fields_;
+};
+
+/// Write `telemetry` (plus workload shape from `config`) as a
+/// PerfRecord — the BENCH_*.json format consumed by the CI perf-smoke
+/// job.
 void write_bench_json(const FigureConfig& config,
                       const SweepTelemetry& telemetry,
                       const std::string& path);

@@ -39,9 +39,8 @@ using workload::CatalogView;
 using workload::StreamObject;
 
 /// Default bandwidth under-estimation factor `e` for the Hybrid /
-/// PB-V(e) kernels when a spec omits it. Shared by the registry
-/// factories and the monomorphized dispatch table (both must agree or
-/// their bit-identity contract breaks).
+/// PB-V(e) kernels when a spec omits it (the registry factories; also
+/// PbvKernel's default constructor argument).
 inline constexpr double kDefaultKernelE = 1.0;
 
 /// Point-in-time copy of a policy's learned state, the unit the

@@ -1,6 +1,5 @@
 #include "core/builder.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/registry.h"
@@ -161,36 +160,6 @@ ExperimentBuilder& ExperimentBuilder::from_cli(const util::Cli& cli) {
     (void)require_value(cli, "cache-frac");
     cache_fraction(cli.get_or("cache-frac", 0.0));
   }
-  if (cli.has("e")) {
-    // Legacy tuning flag: fold into the policy spec's `e` parameter.
-    // Policies that take no `e` (pb, if, ...) ignore the flag, matching
-    // the old PolicyParams behavior.
-    util::Spec spec = util::Spec::parse(config_.sim.policy);
-    bool supports_e = false;
-    for (const auto& info : registry::list(registry::Kind::kPolicy)) {
-      const bool matches =
-          info.name == spec.name ||
-          std::find(info.aliases.begin(), info.aliases.end(), spec.name) !=
-              info.aliases.end();
-      if (matches) {
-        supports_e = std::find(info.params.begin(), info.params.end(), "e") !=
-                     info.params.end();
-        break;
-      }
-    }
-    if (supports_e) {
-      const std::string value = require_value(cli, "e");
-      bool replaced = false;
-      for (auto& [key, existing] : spec.params) {
-        if (key == "e") {
-          existing = value;
-          replaced = true;
-        }
-      }
-      if (!replaced) spec.params.emplace_back("e", value);
-      policy(spec.to_string());
-    }
-  }
   return *this;
 }
 
@@ -198,7 +167,7 @@ std::vector<std::string> ExperimentBuilder::cli_flags() {
   return {"policy",  "estimator", "scenario",   "objects", "requests",
           "zipf",    "runs",      "seed",       "parallel", "threads",
           "warmup",  "viewing",   "patching",   "interactivity",
-          "fault",   "cache-frac", "e"};
+          "fault",   "cache-frac"};
 }
 
 std::string ExperimentBuilder::cli_help() {
@@ -215,8 +184,7 @@ std::string ExperimentBuilder::cli_help() {
       "                       empirical | trace (default full)\n"
       "  --fault=<spec>       deterministic fault plan, e.g.\n"
       "                       fault:outage=120+60 (default none; see\n"
-      "                       docs/CHAOS.md)\n"
-      "  --e=E                legacy: e parameter for hybrid/pbv specs\n\n" +
+      "                       docs/CHAOS.md)\n\n" +
       registry::help();
 }
 

@@ -59,8 +59,7 @@ class ExperimentBuilder {
   ExperimentBuilder& fault(const std::string& spec);
 
   /// Apply the shared flag set from a parsed command line. Flags not
-  /// present keep their current values. `--e` (legacy Hybrid/PB-V
-  /// tuning) is folded into the policy spec as its `e` parameter.
+  /// present keep their current values.
   ExperimentBuilder& from_cli(const util::Cli& cli);
 
   /// The flags from_cli understands (without leading dashes), for

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <utility>
 
-#include "net/probe.h"
 #include "net/units.h"
 #include "net/variability.h"
 #include "workload/trace.h"
@@ -112,12 +111,20 @@ net::MeasuredPath measured_path_for(const util::Spec& spec) {
                         "\" (valid: inria|0, taiwan|1, hongkong|2)");
 }
 
+// Estimator spec defaults. The dispatch (sim/arena.h) rebinds
+// registry-built estimators instead of parsing specs itself, so this is
+// their only copy.
+constexpr double kDefaultEwmaAlpha = 0.3;
+constexpr double kDefaultPriorKbps = 50.0;
+constexpr double kDefaultProbeIntervalS = 3600.0;
+
 Tables make_builtins() {
   Tables t;
 
   // ---- policies ---------------------------------------------------------
-  // Constructed directly as UtilityPolicy instantiations — the same
-  // types the kernel engines of the dispatch table (sim/arena.h) cache.
+  // Constructed as bare UtilityPolicy instantiations: the dispatch
+  // (sim/arena.h) recognizes exactly these types and runs them on
+  // kernel engines.
   const auto simple_policy = [](auto kernel_tag) {
     using Kernel = decltype(kernel_tag);
     return [](const util::Spec&, const PolicyContext& ctx)
@@ -164,11 +171,14 @@ Tables make_builtins() {
                  simple_policy(cache::LfuKernel{}));
 
   // ---- estimators -------------------------------------------------------
+  // Constructed as bare KernelEstimator instantiations, which the
+  // dispatch runs on kernel engines and later rebinds (net/estimator.h).
   t.estimators.add(
       Kind::kEstimator,
       {"oracle", {}, "true long-run per-path mean (paper's setting)", {}},
       [](const util::Spec&, EstimatorContext& ctx) {
-        return std::make_unique<net::OracleEstimator>(ctx.paths);
+        return std::make_unique<net::KernelEstimator<net::OracleKernel>>(
+            ctx.paths);
       });
   t.estimators.add(
       Kind::kEstimator,
@@ -177,11 +187,9 @@ Tables make_builtins() {
        "passive EWMA over observed transfer throughput",
        {"alpha", "prior_kbps"}},
       [](const util::Spec& spec, EstimatorContext& ctx) {
-        return std::make_unique<net::PassiveEwmaEstimator>(
-            ctx.paths.size(),
-            spec.get_double("alpha", net::estimator_defaults::kEwmaAlpha),
-            net::from_kb(spec.get_double(
-                "prior_kbps", net::estimator_defaults::kPriorKbps)));
+        return std::make_unique<net::KernelEstimator<net::EwmaKernel>>(
+            ctx.paths.size(), spec.get_double("alpha", kDefaultEwmaAlpha),
+            net::from_kb(spec.get_double("prior_kbps", kDefaultPriorKbps)));
       });
   t.estimators.add(
       Kind::kEstimator,
@@ -190,10 +198,9 @@ Tables make_builtins() {
        "most recent observed throughput only",
        {"prior_kbps"}},
       [](const util::Spec& spec, EstimatorContext& ctx) {
-        return std::make_unique<net::LastSampleEstimator>(
+        return std::make_unique<net::KernelEstimator<net::LastSampleKernel>>(
             ctx.paths.size(),
-            net::from_kb(spec.get_double(
-                "prior_kbps", net::estimator_defaults::kPriorKbps)));
+            net::from_kb(spec.get_double("prior_kbps", kDefaultPriorKbps)));
       });
   t.estimators.add(
       Kind::kEstimator,
@@ -202,18 +209,13 @@ Tables make_builtins() {
        "active TCP-model probing with overhead accounting",
        {"interval_s", "train_packets"}},
       [](const util::Spec& spec, EstimatorContext& ctx) {
-        const std::vector<double>& means = ctx.paths.means();
         net::ProbeConfig probe_config;
         probe_config.train_packets = static_cast<std::size_t>(
             spec.get_int("train_packets",
                          static_cast<long long>(probe_config.train_packets)));
-        auto model = std::make_unique<net::ProbeModel>(
-            means, probe_config, ctx.rng.fork("probe"));
-        return std::make_unique<net::ActiveProbeEstimator>(
-            std::move(model),
-            spec.get_double("interval_s",
-                            net::estimator_defaults::kProbeIntervalS),
-            ctx.rng.fork("probe-rng"));
+        return std::make_unique<net::KernelEstimator<net::ProbeKernel>>(
+            ctx.paths, probe_config,
+            spec.get_double("interval_s", kDefaultProbeIntervalS), ctx.rng);
       });
 
   // ---- scenarios --------------------------------------------------------

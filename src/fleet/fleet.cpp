@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -117,18 +118,23 @@ FleetResult run_cell(sim::SimulationArena& arena,
                      std::shared_ptr<const net::PathModel> path_model,
                      const stats::EmpiricalDistribution* base,
                      const stats::EmpiricalDistribution* ratio) {
+  if (path_model == nullptr) {
+    // Bit-identical to a shared model by the PathModel RNG-snapshot
+    // contract.
+    path_model = std::make_shared<const net::PathModel>(
+        stream.catalog().size(), *base, *ratio, config.path_config,
+        util::Rng(seed).fork("paths"));
+  }
   std::optional<FleetRun> run;
   if (fleet != nullptr) run.emplace(*fleet, seed);
   sim::MonoRunContext context;
   context.stream = &stream;
   context.model = std::move(path_model);
-  context.base = base;
-  context.ratio = ratio;
   context.config = &config;
   context.seed = seed;
   context.fleet = run.has_value() ? &*run : nullptr;
   sim::SimulationResult result =
-      sim::acquire_mono_engine(arena, config)->run(context);
+      sim::acquire_mono_engine(arena, context)->run(context);
   if (!run.has_value()) return FleetResult{std::move(result), {}};
   return run->finish(std::move(result));
 }

@@ -49,13 +49,17 @@ ProbeKernel::ProbeKernel(std::unique_ptr<ProbeModel> model,
   }
 }
 
-void ProbeKernel::rebind(std::unique_ptr<ProbeModel> model, util::Rng rng) {
-  if (!model) {
-    throw std::invalid_argument("ActiveProbeEstimator: null probe model");
-  }
-  owned_model_ = std::move(model);
+ProbeKernel::ProbeKernel(const PathModel& paths, const ProbeConfig& config,
+                         double reprobe_interval_s, const util::Rng& rng)
+    : ProbeKernel(std::make_unique<ProbeModel>(paths.means(), config,
+                                               rng.fork("probe")),
+                  reprobe_interval_s, rng.fork("probe-rng")) {}
+
+void ProbeKernel::rebind(const PathModel& paths, const util::Rng& rng) {
+  owned_model_ = std::make_unique<ProbeModel>(paths.means(), model_->config(),
+                                              rng.fork("probe"));
   model_ = owned_model_.get();
-  rng_ = std::move(rng);
+  rng_ = rng.fork("probe-rng");
   cached_.assign(model_->size(), -1.0);
   probe_time_.assign(model_->size(), -1.0);
   overhead_packets_ = 0;

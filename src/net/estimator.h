@@ -5,20 +5,24 @@
 //
 //   *Kernel structs  - non-virtual, header-inline state machines
 //                      (OracleKernel, EwmaKernel, LastSampleKernel,
-//                      ProbeKernel). The monomorphized simulation engine
-//                      (sim/arena.h) instantiates its request loop over a
-//                      kernel type, so estimate()/observe() compile to
-//                      direct inlined code and the "does this estimator
+//                      ProbeKernel). The kernel engines of the simulation
+//                      dispatch (sim/arena.h) instantiate the request loop
+//                      over a kernel type, so estimate()/observe() compile
+//                      to direct inlined code and the "does this estimator
 //                      consume completion events?" question resolves at
 //                      compile time via Kernel::kUsesObservations.
 //   KernelEstimator<Kernel> - the virtual adapter implementing the
-//                      BandwidthEstimator boundary interface for the
-//                      registry, the live daemon, and user code that
-//                      holds estimators behind the interface. The familiar
-//                      class names (OracleEstimator, PassiveEwmaEstimator,
-//                      LastSampleEstimator, ActiveProbeEstimator) are
-//                      final adapters with their historical constructor
-//                      signatures.
+//                      BandwidthEstimator boundary interface. The
+//                      registry's built-in factories (core/registry.cpp)
+//                      return exactly this type; the dispatch recognizes
+//                      it, keeps the estimator and rebinds its kernel
+//                      between simulations instead of rebuilding it. The
+//                      familiar class names (OracleEstimator,
+//                      PassiveEwmaEstimator, LastSampleEstimator,
+//                      ActiveProbeEstimator) are final subclasses with
+//                      their historical constructor signatures, for direct
+//                      construction; being other types, they run on the
+//                      virtual engine.
 //
 // Schemes:
 //   OracleEstimator      - returns the true long-run mean (the paper's
@@ -43,17 +47,6 @@
 #include "util/rng.h"
 
 namespace sc::net {
-
-/// Spec-parameter defaults, shared by the registry's estimator
-/// factories (core/registry.cpp) and the monomorphized dispatch table
-/// (sim/monomorphize.cpp). Both construction paths must use identical
-/// defaults for bare specs or their bit-identity contract breaks —
-/// keep the single source of truth here.
-namespace estimator_defaults {
-inline constexpr double kEwmaAlpha = 0.3;
-inline constexpr double kPriorKbps = 50.0;
-inline constexpr double kProbeIntervalS = 3600.0;
-}  // namespace estimator_defaults
 
 /// Interface through which cache policies learn per-path bandwidth.
 class BandwidthEstimator {
@@ -89,9 +82,11 @@ class BandwidthEstimator {
 
 // ---------------------------------------------------------------------
 // Non-virtual kernels. Every kernel provides observe / estimate /
-// overhead_packets, the kUsesObservations constant, and a rebind()
-// that re-initializes it for a fresh simulation (arena reuse): after
-// rebind a kernel is bit-identical to a newly constructed one.
+// overhead_packets, the kUsesObservations constant, and
+// rebind(paths, rng), which re-initializes it for a fresh simulation
+// (arena reuse): afterwards the kernel is bit-identical to the one the
+// registry builds for `paths` and `rng`, with the kernel's own
+// parameters (alpha and prior; probe config and interval) kept.
 
 /// Knows the true per-path mean (upper bound on estimator quality).
 /// Consults the immutable PathModel only, so one shared model can feed
@@ -109,7 +104,9 @@ class OracleKernel {
   [[nodiscard]] std::size_t overhead_packets() const { return 0; }
 
   /// Re-point at a new replication's model.
-  void rebind(const PathModel& paths) { paths_ = &paths; }
+  void rebind(const PathModel& paths, const util::Rng& /*rng*/) {
+    paths_ = &paths;
+  }
 
   [[nodiscard]] std::vector<double> save_state() const { return {}; }
   [[nodiscard]] bool load_state(const std::vector<double>& blob) {
@@ -150,8 +147,8 @@ class EwmaKernel {
   }
 
   /// Forget every observation (storage reused).
-  void rebind(std::size_t n_paths) {
-    estimates_.assign(n_paths, -1.0);
+  void rebind(const PathModel& paths, const util::Rng& /*rng*/) {
+    estimates_.assign(paths.size(), -1.0);
     observed_count_ = 0;
   }
 
@@ -191,7 +188,9 @@ class LastSampleKernel {
   }
   [[nodiscard]] std::size_t overhead_packets() const { return 0; }
 
-  void rebind(std::size_t n_paths) { last_.assign(n_paths, -1.0); }
+  void rebind(const PathModel& paths, const util::Rng& /*rng*/) {
+    last_.assign(paths.size(), -1.0);
+  }
 
   [[nodiscard]] std::vector<double> save_state() const { return last_; }
   [[nodiscard]] bool load_state(const std::vector<double>& blob) {
@@ -214,10 +213,15 @@ class ProbeKernel {
   ProbeKernel(const ProbeModel& model, double reprobe_interval_s,
               util::Rng rng);
 
-  /// Owning variant: keeps `model` alive for the kernel's lifetime (used
-  /// by registry factories, which have no place to park the model).
+  /// Owning variant: keeps `model` alive for the kernel's lifetime.
   ProbeKernel(std::unique_ptr<ProbeModel> model, double reprobe_interval_s,
               util::Rng rng);
+
+  /// The registry's construction: an owned probe model over `paths`'
+  /// means drawn from rng's "probe" fork, measurements from its
+  /// "probe-rng" fork.
+  ProbeKernel(const PathModel& paths, const ProbeConfig& config,
+              double reprobe_interval_s, const util::Rng& rng);
 
   void observe(PathId, double, double) {}  // purely active
   [[nodiscard]] double estimate(PathId path, double now_s) {
@@ -235,9 +239,10 @@ class ProbeKernel {
     return overhead_packets_;
   }
 
-  /// Swap in a fresh probe model (new replication's path means) and
-  /// measurement stream; probe caches and overhead restart from zero.
-  void rebind(std::unique_ptr<ProbeModel> model, util::Rng rng);
+  /// Draw a fresh probe model (new replication's path means, same probe
+  /// config) and measurement stream from `rng` as the registry's
+  /// constructor does; probe caches and overhead restart from zero.
+  void rebind(const PathModel& paths, const util::Rng& rng);
 
   /// Blob layout: cached estimates, probe timestamps, overhead count.
   /// The probe RNG is deliberately not captured: after a restore, paths
@@ -346,8 +351,7 @@ class ActiveProbeEstimator final : public KernelEstimator<ProbeKernel> {
   ActiveProbeEstimator(const ProbeModel& model, double reprobe_interval_s,
                        util::Rng rng)
       : KernelEstimator(model, reprobe_interval_s, std::move(rng)) {}
-  /// Owning variant: keeps `model` alive for the estimator's lifetime
-  /// (used by registry factories, which have no place to park the model).
+  /// Owning variant: keeps `model` alive for the estimator's lifetime.
   ActiveProbeEstimator(std::unique_ptr<ProbeModel> model,
                        double reprobe_interval_s, util::Rng rng)
       : KernelEstimator(std::move(model), reprobe_interval_s,

@@ -11,20 +11,30 @@
 // SimulationArena is that per-worker cache. It maps a
 // (policy spec, estimator spec) pair to a MonoEngineBase: a simulation
 // engine whose request loop (sim/run_loop.h) was instantiated at compile
-// time for the pair, carrying its reusable RunState and the components
-// of N proxies (one for the single cell, N for a fleet cell).
-// core::SweepRunner owns one arena per util::ThreadPool worker slot and
-// hands each simulation task its worker's arena, driving steady-state
-// sweep allocations from O(cells x replications) to O(workers x
-// distinct specs).
+// time for the pair's component types, carrying its reusable RunState
+// and the components of N proxies (one for the single cell, N for a
+// fleet cell). core::SweepRunner owns one arena per util::ThreadPool
+// worker slot and hands each simulation task its worker's arena, driving
+// steady-state sweep allocations from O(cells x replications) to
+// O(workers x distinct specs).
 //
 // acquire_mono_engine is the only dispatch: sim::Simulator,
 // fleet::run_fleet and core::SweepRunner all reach it through
-// fleet::run_cell (fleet/fleet.h). Built-in
-// pairs (the registry's 8 x 4 policy x estimator spec space) get a
-// kernel engine with every per-request call inlined; any other pair —
-// user-registered components — gets an engine over the virtual
-// CachePolicy / BandwidthEstimator interfaces, on the same loop body.
+// fleet::run_cell (fleet/fleet.h). Components come only from the
+// registry, and the engine is picked from the types it built: when a
+// spec's factory returns exactly cache::UtilityPolicy<P> and
+// net::KernelEstimator<E> for built-in kernels P and E (as every
+// built-in factory does), the (P, E) kernel engine runs every
+// per-request call inlined; any other types get an engine over the
+// virtual CachePolicy / BandwidthEstimator interfaces, on the same loop
+// body.
+//
+// Lifecycle: a kernel engine keeps the components the registry built
+// and rebinds them at the start of every run (UtilityPolicy<P>::rebind,
+// the estimator kernel's rebind(paths, rng)), which leaves them equal to
+// freshly built ones; a fleet cell with more proxies than the engine has
+// seen builds the extra proxies through the registry. The virtual engine
+// builds all of its components afresh for every run.
 #pragma once
 
 #include <cstdint>
@@ -48,13 +58,9 @@ struct MonoRunContext {
   /// see workload/request_stream.h). Shared per (alpha, replication) by
   /// core::SweepRunner exactly as materialized workloads used to be.
   const workload::RequestStream* stream = nullptr;
-  /// Shared immutable path model (one per replication, see core::Sweep).
-  /// When null the engine draws its own from `base`/`ratio` and the
-  /// config's path seed — bit-identical by the PathModel RNG-snapshot
-  /// contract.
+  /// The run's immutable path model; never null (fleet::run_cell draws
+  /// one when its caller shares none).
   std::shared_ptr<const net::PathModel> model;
-  const stats::EmpiricalDistribution* base = nullptr;
-  const stats::EmpiricalDistribution* ratio = nullptr;
   /// Component specs and simulation knobs. `config->seed` is ignored in
   /// favor of `seed` so sweep tasks need not copy the config per
   /// replication.
@@ -70,12 +76,15 @@ struct MonoRunContext {
 /// A compiled (policy, estimator) pair plus its reusable run state.
 /// run() binds the components to the context's workload/model/seed —
 /// bit-identical to constructing them fresh — and executes the request
-/// loop. One virtual call per *simulation*; for built-in pairs
+/// loop. One virtual call per *simulation*; for built-in kernel types
 /// everything inside is inlined.
 class MonoEngineBase {
  public:
   virtual ~MonoEngineBase() = default;
   [[nodiscard]] virtual SimulationResult run(const MonoRunContext& context) = 0;
+  /// Whether this is a kernel engine (per-request calls inlined) rather
+  /// than the virtual one.
+  [[nodiscard]] virtual bool inlined() const = 0;
 };
 
 /// Per-worker cache of engines keyed by the *raw*
@@ -113,14 +122,12 @@ class SimulationArena {
   std::vector<Slot> slots_;  // a handful of entries; linear scan
 };
 
-/// The engine for `config`'s (policy, estimator) pair, cached in (or
-/// newly added to) `arena`; never null. Throws util::SpecError on
-/// malformed specs, exactly like the registry factories.
+/// The engine for `context.config`'s (policy, estimator) pair, cached
+/// in (or newly added to) `arena`; never null. On a miss the registry
+/// builds proxy 0's components for `context`, and their types pick the
+/// engine. Throws whatever the registry factories throw (util::SpecError
+/// on malformed specs).
 [[nodiscard]] MonoEngineBase* acquire_mono_engine(
-    SimulationArena& arena, const SimulationConfig& config);
-
-/// Whether the (policy, estimator) pair of `config` gets a kernel engine
-/// rather than the virtual one (test/diagnostic hook).
-[[nodiscard]] bool mono_dispatchable(const SimulationConfig& config);
+    SimulationArena& arena, const MonoRunContext& context);
 
 }  // namespace sc::sim

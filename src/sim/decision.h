@@ -58,10 +58,10 @@ struct ObservationTraits<
 
 /// Non-owning view over one (policy, estimator, store, observation
 /// queue) quadruple — one proxy's decision machinery. Instantiated with
-/// the concrete kernel types by the built-in engines of
+/// the concrete kernel types by the kernel engines of
 /// sim/monomorphize.cpp (everything inlines), and with the virtual
 /// CachePolicy / BandwidthEstimator interfaces by the engine that runs
-/// user-registered components and by the live proxy daemon (one
+/// components of any other type and by the live proxy daemon (one
 /// indirect call per operation — fine off the 30M-requests/sec path).
 ///
 /// All state lives in the referenced components; the kernel itself is a

@@ -22,14 +22,15 @@
 // The loop is instantiated by the engines of sim/monomorphize.cpp, the
 // only dispatch (sim/arena.h):
 //
-//   - built-in (policy, estimator) pairs: Policy = a MonoPolicyRef over
-//     a concrete cache::UtilityPolicy<Kernel>, Estimator = a concrete
-//     estimator kernel. Every per-request call (estimate, observe,
-//     utility, admission) inlines, and the "schedule a completion
-//     event?" branch resolves at compile time via ObservationTraits.
-//   - user-registered components: Policy = the cache::CachePolicy
-//     interface, Estimator = the net::BandwidthEstimator interface, built
-//     through the registry.
+//   - registry-built components of the built-in kernel adapter types:
+//     Policy = a MonoPolicyRef over a concrete
+//     cache::UtilityPolicy<Kernel>, Estimator = a concrete estimator
+//     kernel. Every per-request call (estimate, observe, utility,
+//     admission) inlines, and the "schedule a completion event?" branch
+//     resolves at compile time via ObservationTraits.
+//   - components of any other type (user-registered ones): Policy = the
+//     cache::CachePolicy interface, Estimator = the
+//     net::BandwidthEstimator interface.
 //
 // The *decision* half of the loop — admission, utility eviction,
 // partial-prefix management, estimator observe/estimate with deferred

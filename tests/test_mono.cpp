@@ -1,16 +1,18 @@
-// Engine identity: the kernel engines of the dispatch table (sim/arena.h)
-// must be observationally indistinguishable from the virtual engine that
-// runs user-registered components.
+// Engine identity: the kernel engines of the dispatch (sim/arena.h) must
+// be observationally indistinguishable from the virtual engine that runs
+// components of any other type.
 //
-// Both engines share one loop body (sim/run_loop.h) and construct their
-// components with identical parameters and RNG streams, so their results
-// are not merely close — they are field-identical, for every registered
-// (policy, estimator) pair, single cell and fleet cell alike, and arena
-// reuse across back-to-back simulations is bit-identical to fresh
-// construction. Every matrix compares SPEC (a kernel engine) against
-// "test-virtual:of=SPEC" (tests/virtual_components.h: the registry's own
-// SPEC component behind a forwarding wrapper, so it takes the virtual
-// engine).
+// Both engines share one loop body (sim/run_loop.h) and get their
+// components only from the registry: a kernel engine keeps the ones it
+// was built with and rebinds them per run, the virtual engine builds
+// fresh ones every run. So their results are not merely close — they are
+// field-identical, for every registered (policy, estimator) pair, single
+// cell and fleet cell alike, and arena reuse across back-to-back
+// simulations is bit-identical to fresh construction. Every matrix
+// compares SPEC (a kernel engine) against "test-virtual:of=SPEC"
+// (tests/virtual_components.h: the registry's own SPEC component behind a
+// forwarding wrapper, so it takes the virtual engine). Parameterized
+// specs pin the parameters a rebind must keep.
 
 #include "sim/arena.h"
 
@@ -19,12 +21,15 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/registry.h"
 #include "core/sweep.h"
 #include "fleet/fleet.h"
+#include "net/estimator.h"
+#include "net/units.h"
 #include "virtual_components.h"
 #include "workload/trace.h"
 
@@ -139,10 +144,40 @@ void expect_fleets_identical(const fleet::FleetResult& a,
   }
 }
 
+/// A run context over a small fixed workload, to acquire engines with.
+MonoRunContext small_context(const SimulationConfig& config) {
+  static const workload::RequestStream stream = [] {
+    workload::WorkloadConfig wcfg;
+    wcfg.catalog.num_objects = 20;
+    wcfg.trace.num_requests = 10;
+    util::Rng rng(5);
+    return workload::RequestStream::replay(
+        std::make_shared<const workload::Workload>(
+            workload::generate_workload(wcfg, rng)));
+  }();
+  static const auto model = [] {
+    const auto scenario = core::constant_scenario();
+    return std::make_shared<const net::PathModel>(
+        stream.catalog().size(), scenario.base, scenario.ratio,
+        net::PathModelConfig{}, util::Rng(6));
+  }();
+  MonoRunContext context;
+  context.stream = &stream;
+  context.model = model;
+  context.config = &config;
+  return context;
+}
+
+/// Whether `config`'s (policy, estimator) pair gets a kernel engine.
+bool runs_on_kernels(const SimulationConfig& config) {
+  SimulationArena arena;
+  return acquire_mono_engine(arena, small_context(config))->inlined();
+}
+
 TEST(EngineDispatch, CoversEveryBuiltinPairAndAliases) {
   // Every registered builtin spelling — canonical names AND aliases on
-  // both axes — must resolve to a kernel engine (aliases are resolved
-  // through the registry, so one added there is covered here
+  // both axes — must get a kernel engine (the engine is picked from the
+  // types the registry builds, so a spelling added there is covered here
   // automatically).
   const auto spellings = [](core::registry::Kind kind) {
     std::vector<std::string> out;
@@ -161,16 +196,16 @@ TEST(EngineDispatch, CoversEveryBuiltinPairAndAliases) {
          spellings(core::registry::Kind::kEstimator)) {
       cfg.policy = policy;
       cfg.estimator = estimator;
-      EXPECT_TRUE(mono_dispatchable(cfg)) << policy << " x " << estimator;
+      EXPECT_TRUE(runs_on_kernels(cfg)) << policy << " x " << estimator;
     }
   }
   cfg.policy = "pb-v:e=0.7";
   cfg.estimator = "passive-ewma";
-  EXPECT_TRUE(mono_dispatchable(cfg));
+  EXPECT_TRUE(runs_on_kernels(cfg));
   cfg.policy = "no-such-policy";
-  EXPECT_FALSE(mono_dispatchable(cfg));
+  EXPECT_THROW((void)runs_on_kernels(cfg), util::SpecError);
   cfg.policy = virtual_spec("pb");
-  EXPECT_FALSE(mono_dispatchable(cfg));
+  EXPECT_FALSE(runs_on_kernels(cfg));
 }
 
 TEST(EngineDispatch, EveryPairGetsAnEngineAndUnknownSpecsFail) {
@@ -178,14 +213,17 @@ TEST(EngineDispatch, EveryPairGetsAnEngineAndUnknownSpecsFail) {
   SimulationConfig cfg;
   cfg.policy = virtual_spec("pb");
   cfg.estimator = "ewma";
-  MonoEngineBase* engine = acquire_mono_engine(arena, cfg);
+  MonoEngineBase* engine = acquire_mono_engine(arena, small_context(cfg));
   ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(acquire_mono_engine(arena, cfg), engine);  // cached per pair
+  // Cached per pair.
+  EXPECT_EQ(acquire_mono_engine(arena, small_context(cfg)), engine);
   cfg.policy = "no-such-policy";
-  EXPECT_THROW((void)acquire_mono_engine(arena, cfg), util::SpecError);
+  EXPECT_THROW((void)acquire_mono_engine(arena, small_context(cfg)),
+               util::SpecError);
   cfg.policy = "pb";
   cfg.estimator = "ewma:frequency=2";
-  EXPECT_THROW((void)acquire_mono_engine(arena, cfg), util::SpecError);
+  EXPECT_THROW((void)acquire_mono_engine(arena, small_context(cfg)),
+               util::SpecError);
 }
 
 TEST(EngineDispatch, KernelAndVirtualFieldIdenticalForEveryRegisteredPair) {
@@ -203,6 +241,7 @@ TEST(EngineDispatch, KernelAndVirtualFieldIdenticalForEveryRegisteredPair) {
       builtin_names(core::registry::Kind::kEstimator);
   estimators.push_back("ewma:alpha=0.5,prior_kbps=80");
   estimators.push_back("probe:interval_s=600");
+  estimators.push_back("probe:interval_s=600,train_packets=50");
 
   for (const auto& policy : policies) {
     for (const auto& estimator : estimators) {
@@ -558,13 +597,13 @@ TEST(EngineDispatch, ArenaReuseAcrossFleetCellsBitIdenticalToFreshArena) {
   EXPECT_EQ(reused.size(), 3u);
 }
 
-TEST(EngineDispatch, UserRegisteredSpecsRunOnTheVirtualEngineAndMatchBuiltins) {
-  // A self-registered policy constructing the very same PbPolicy type is
-  // out of the dispatch table, so it runs on the virtual engine — and
-  // must still produce exactly the metrics the built-in "pb" kernel
-  // engine produces.
+TEST(EngineDispatch, UserRegisteredSpecsOfBuiltinTypesRunOnKernelsAndMatch) {
+  // The engine is picked from the types the registry builds, not from
+  // the spec's name: a self-registered policy constructing the very same
+  // PbPolicy type runs on the kernel engine and produces exactly the
+  // metrics the built-in "pb" produces.
   static const core::registry::PolicyRegistrar registrar(
-      {"test-mono-pb", {}, "test-only PB clone (virtual engine)", {}},
+      {"test-mono-pb", {}, "test-only PB clone (kernel engine)", {}},
       [](const util::Spec&, const core::registry::PolicyContext& ctx) {
         return std::make_unique<cache::PbPolicy>(ctx.catalog, ctx.estimator);
       });
@@ -572,7 +611,7 @@ TEST(EngineDispatch, UserRegisteredSpecsRunOnTheVirtualEngineAndMatchBuiltins) {
 
   SimulationConfig probe_cfg;
   probe_cfg.policy = "test-mono-pb";
-  EXPECT_FALSE(mono_dispatchable(probe_cfg));
+  EXPECT_TRUE(runs_on_kernels(probe_cfg));
 
   const auto scenario = core::measured_variability_scenario();
   core::ExperimentConfig cfg = small_config();
@@ -581,6 +620,65 @@ TEST(EngineDispatch, UserRegisteredSpecsRunOnTheVirtualEngineAndMatchBuiltins) {
   cfg.sim.policy = "pb";
   const auto builtin = core::run_experiment(cfg, scenario);
   expect_bit_identical(custom, builtin, "test-mono-pb vs pb");
+}
+
+TEST(EngineDispatch, AdapterSubclassesRunOnTheVirtualEngineAndMatch) {
+  // Types match exactly: a subclass of a kernel adapter (here the named
+  // PassiveEwmaEstimator over EwmaKernel) could override a virtual the
+  // kernel engine bypasses, so it takes the virtual engine — and still
+  // matches the built-in "ewma".
+  static const core::registry::EstimatorRegistrar registrar(
+      {"test-mono-named-ewma", {}, "test-only named EWMA (virtual engine)",
+       {}},
+      [](const util::Spec&, core::registry::EstimatorContext& ctx) {
+        return std::make_unique<net::PassiveEwmaEstimator>(
+            ctx.paths.size(), 0.3, net::from_kb(50.0));
+      });
+  (void)registrar;
+
+  SimulationConfig probe_cfg;
+  probe_cfg.estimator = "test-mono-named-ewma";
+  EXPECT_FALSE(runs_on_kernels(probe_cfg));
+
+  const auto scenario = core::measured_variability_scenario();
+  core::ExperimentConfig cfg = small_config();
+  cfg.sim.policy = "pbv:e=0.7";
+  cfg.sim.estimator = "test-mono-named-ewma";
+  const auto named = core::run_experiment(cfg, scenario);
+  cfg.sim.estimator = "ewma";
+  const auto builtin = core::run_experiment(cfg, scenario);
+  expect_bit_identical(named, builtin, "test-mono-named-ewma vs ewma");
+}
+
+TEST(EngineDispatch, FactoryChangingTypeAcrossProxiesIsALogicError) {
+  // A kernel engine adopts proxy 0's types; a factory that builds a
+  // later proxy of the same spec as another type breaks that contract.
+  static int built = 0;
+  static const core::registry::PolicyRegistrar registrar(
+      {"test-mono-fickle", {}, "test-only: PB first, IB afterwards", {}},
+      [](const util::Spec&, const core::registry::PolicyContext& ctx)
+          -> std::unique_ptr<cache::CachePolicy> {
+        if (built++ == 0) {
+          return std::make_unique<cache::PbPolicy>(ctx.catalog, ctx.estimator);
+        }
+        return std::make_unique<cache::IbPolicy>(ctx.catalog, ctx.estimator);
+      });
+  (void)registrar;
+  built = 0;
+
+  const auto scenario = core::constant_scenario();
+  workload::WorkloadConfig wcfg = small_config().workload;
+  util::Rng wl_rng(3);
+  const auto stream = workload::RequestStream::replay(
+      std::make_shared<const workload::Workload>(
+          workload::generate_workload(wcfg, wl_rng)));
+  SimulationConfig cfg;
+  cfg.policy = "test-mono-fickle";
+  cfg.cache_capacity_bytes = core::capacity_for_fraction(wcfg.catalog, 0.05);
+  EXPECT_THROW((void)fleet::run_fleet(
+                   stream, fleet::FleetConfig::parse("fleet:proxies=2"), cfg,
+                   nullptr, &scenario.base, &scenario.ratio),
+               std::logic_error);
 }
 
 }  // namespace

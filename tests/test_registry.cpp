@@ -257,10 +257,10 @@ TEST(ExperimentBuilder, RejectsBadSpecsEagerly) {
 }
 
 TEST(ExperimentBuilder, FromCliWiresSharedFlags) {
-  const char* argv[] = {"prog",          "--policy=pbv",  "--e=0.7",
+  const char* argv[] = {"prog",          "--policy=pbv:e=0.7",
                         "--estimator",   "ewma:alpha=0.5", "--scenario=measured",
                         "--objects=150", "--runs=3",      "--cache-frac=0.05"};
-  const util::Cli cli(9, argv);
+  const util::Cli cli(8, argv);
   ExperimentBuilder builder;
   builder.from_cli(cli);
   const auto config = builder.config();

@@ -1,9 +1,10 @@
 // Test-only "test-virtual:of=SPEC" policy and estimator: registry
 // components that wrap the registry's own SPEC component behind a
-// forwarding CachePolicy / BandwidthEstimator. The name is out of the
-// built-in dispatch table, so a simulation over the wrapped pair runs on
-// the virtual engine (sim/arena.h) while SPEC itself runs on its kernel
-// engine — the pair every kernel-vs-virtual identity test compares.
+// forwarding CachePolicy / BandwidthEstimator. The dispatch (sim/arena.h)
+// picks engines from the types the registry builds, and the wrappers are
+// not kernel adapter types, so a simulation over the wrapped pair runs
+// on the virtual engine while SPEC itself runs on its kernel engine —
+// the pair every kernel-vs-virtual identity test compares.
 //
 // SPEC's own parameters are separated by ';' instead of ',' (the outer
 // spec owns the commas): virtual_spec() writes that form.
