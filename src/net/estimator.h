@@ -10,7 +10,8 @@
 //                      over a kernel type, so estimate()/observe() compile
 //                      to direct inlined code and the "does this estimator
 //                      consume completion events?" question resolves at
-//                      compile time via Kernel::kUsesObservations.
+//                      compile time via Kernel::kUsesObservations (and
+//                      "per path?" via kPathLocalObservations, below).
 //   KernelEstimator<Kernel> - the virtual adapter implementing the
 //                      BandwidthEstimator boundary interface. The
 //                      registry's built-in factories (core/registry.cpp)
@@ -87,6 +88,13 @@ class BandwidthEstimator {
 // (arena reuse): afterwards the kernel is bit-identical to the one the
 // registry builds for `paths` and `rng`, with the kernel's own
 // parameters (alpha and prior; probe config and interval) kept.
+//
+// A kernel may also declare kPathLocalObservations = true, promising
+// that observe() ignores now_s and changes only the observed path's
+// state (and counts independent of the order across paths, like
+// EwmaKernel::observed_paths()), and that estimate(path) reads only
+// that path's state. The request loop then delivers each path's
+// observations from the path's own list (sim/decision.h).
 
 /// Knows the true per-path mean (upper bound on estimator quality).
 /// Consults the immutable PathModel only, so one shared model can feed
@@ -121,6 +129,7 @@ class OracleKernel {
 class EwmaKernel {
  public:
   static constexpr bool kUsesObservations = true;
+  static constexpr bool kPathLocalObservations = true;
 
   /// `alpha` is the weight of the newest observation; `prior` is returned
   /// for paths never observed (bytes/second).
@@ -176,6 +185,7 @@ class EwmaKernel {
 class LastSampleKernel {
  public:
   static constexpr bool kUsesObservations = true;
+  static constexpr bool kPathLocalObservations = true;
 
   LastSampleKernel(std::size_t n_paths, double prior);
 

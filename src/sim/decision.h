@@ -20,9 +20,24 @@
 // and the fleet's output byte-identically, and tests/test_decision.cpp
 // covers the kernel in isolation under an arbitrary (non-simulated)
 // clock.
+//
+// Deferred completion observations wait in one of two stores
+// (sim/event_queue.h), picked by the estimator's type. An estimator
+// kernel that declares kPathLocalObservations (net/estimator.h: EWMA
+// and last-sample) gets per-path lists, and tick_path() delivers only
+// the requested path's due observations, just before that path is
+// estimated. That is exact: such a kernel's observe() touches only its
+// own path's state and ignores the time, and the policy estimates only
+// the requested object's path, so each path sees the same observations
+// in the same order as through the heap. Blackouts filter on each
+// observation's due time either way. Every other estimator — the
+// virtual interface (so the daemon and user components), oracle, probe,
+// and wrappers that re-export only kUsesObservations — keeps the global
+// heap, where tick_path() is tick().
 #pragma once
 
 #include <limits>
+#include <type_traits>
 
 #include "cache/store.h"
 #include "net/fault.h"
@@ -31,6 +46,16 @@
 #include "workload/object_catalog.h"
 
 namespace sc::sim {
+
+/// Whether `Estimator` declares kPathLocalObservations = true (false
+/// when it declares nothing).
+template <typename Estimator, typename = void>
+inline constexpr bool kDeclaresPathLocalObservations = false;
+
+template <typename Estimator>
+inline constexpr bool kDeclaresPathLocalObservations<
+    Estimator, std::void_t<decltype(Estimator::kPathLocalObservations)>> =
+    Estimator::kPathLocalObservations;
 
 /// Compile-time view of an estimator's observation behavior. The primary
 /// template covers the virtual interface (runtime query); the
@@ -42,6 +67,9 @@ struct ObservationTraits {
   /// True when the estimator type proves at compile time that
   /// observations are discarded.
   static constexpr bool kStaticallyDiscards = false;
+  /// True when observations may be delivered per path (see the header
+  /// comment); nothing is provable behind the virtual interface.
+  static constexpr bool kPathLocal = false;
   [[nodiscard]] static bool uses(const Estimator& estimator) {
     return estimator.uses_observations();
   }
@@ -51,13 +79,22 @@ template <typename Estimator>
 struct ObservationTraits<
     Estimator, std::void_t<decltype(Estimator::kUsesObservations)>> {
   static constexpr bool kStaticallyDiscards = !Estimator::kUsesObservations;
+  static constexpr bool kPathLocal =
+      kDeclaresPathLocalObservations<Estimator>;
   [[nodiscard]] static constexpr bool uses(const Estimator&) {
     return Estimator::kUsesObservations;
   }
 };
 
+/// Where a DecisionKernel over `Estimator` defers observations: per-path
+/// lists for path-local estimators, the global heap for all others.
+template <typename Estimator>
+using ObservationStore =
+    std::conditional_t<ObservationTraits<Estimator>::kPathLocal,
+                       PathObservationLists, ObservationQueue>;
+
 /// Non-owning view over one (policy, estimator, store, observation
-/// queue) quadruple — one proxy's decision machinery. Instantiated with
+/// store) quadruple — one proxy's decision machinery. Instantiated with
 /// the concrete kernel types by the kernel engines of
 /// sim/monomorphize.cpp (everything inlines), and with the virtual
 /// CachePolicy / BandwidthEstimator interfaces by the engine that runs
@@ -72,7 +109,8 @@ template <typename Policy, typename Estimator>
 class DecisionKernel {
  public:
   DecisionKernel(Policy& policy, Estimator& estimator,
-                 cache::PartialStore& store, ObservationQueue& events)
+                 cache::PartialStore& store,
+                 ObservationStore<Estimator>& events)
       : policy_(&policy),
         estimator_(&estimator),
         store_(&store),
@@ -98,7 +136,7 @@ class DecisionKernel {
   [[nodiscard]] bool observes() const noexcept { return observes_; }
 
   /// Attach a compiled fault schedule (net/fault.h): observations whose
-  /// due time falls inside a blackout window are dropped in tick()
+  /// due time falls inside a blackout window are dropped at delivery
   /// before reaching the estimator. Null (the default) detaches — the
   /// tick path is then exactly the pre-fault-layer code, which is what
   /// keeps an empty fault plan inert.
@@ -112,24 +150,27 @@ class DecisionKernel {
   }
 
   /// Deliver every deferred completion observation due at or before
-  /// `now_s` to the estimator, in (time, insertion) order. The simulator
-  /// calls this with each request's arrival time; the server calls it
-  /// from the wall clock (per request and from a periodic ticker), which
-  /// is what makes EWMA/probe estimators age on real seconds.
+  /// `now_s` to the estimator: in (time, insertion) order from the heap,
+  /// path by path (each in that order) from per-path lists. The server
+  /// calls it from the wall clock (per request and from a periodic
+  /// ticker), which is what makes EWMA/probe estimators age on real
+  /// seconds; the simulator calls tick_path() per request.
   void tick(double now_s) {
-    if (faults_ == nullptr) {
-      events_->run_until(now_s, [this](double now, ObservationEvent& ev) {
-        estimator_->observe(ev.path, ev.throughput, now);
+    deliver([&](const auto& observe) { events_->run_until(now_s, observe); });
+  }
+
+  /// Deliver the deferred observations that `path`'s estimate can depend
+  /// on, due at or before `now_s`: that path's alone when the estimator
+  /// is path-local, otherwise everything (tick). The request loop calls
+  /// this with each request's path and arrival time.
+  void tick_path(net::PathId path, double now_s) {
+    if constexpr (ObservationTraits<Estimator>::kPathLocal) {
+      deliver([&](const auto& observe) {
+        events_->run_until(path, now_s, observe);
       });
     } else {
-      // Estimator blackout: the measurement plane is down — due
-      // observations are consumed (the transfer still happened) but
-      // never reach the estimator.
-      events_->run_until(now_s, [this](double now, ObservationEvent& ev) {
-        if (!faults_->blackout(now)) {
-          estimator_->observe(ev.path, ev.throughput, now);
-        }
-      });
+      (void)path;
+      tick(now_s);
     }
   }
 
@@ -137,9 +178,10 @@ class DecisionKernel {
   void drain() { tick(std::numeric_limits<double>::infinity()); }
 
   /// Defer the completion observation of a transfer on `path` achieving
-  /// `throughput` bytes/second until `done_s`: passive estimators only
-  /// learn a transfer's throughput once it completes. Compiled out
-  /// entirely for statically-discarding (oracle/probe) kernels.
+  /// `throughput` bytes/second until `done_s` (not before the time of
+  /// the request that started it): passive estimators only learn a
+  /// transfer's throughput once it completes. Compiled out entirely for
+  /// statically-discarding (oracle/probe) kernels.
   void record_transfer(net::PathId path, double throughput, double done_s) {
     if constexpr (ObservationTraits<Estimator>::kStaticallyDiscards) {
       (void)path;
@@ -163,10 +205,30 @@ class DecisionKernel {
   }
 
  private:
+  /// Call `deliver_due(observe)`, where `observe(due_s, event)` feeds one
+  /// due observation to the estimator. During an estimator blackout the
+  /// measurement plane is down: observations due inside the window are
+  /// consumed (the transfer still happened) but never reach the
+  /// estimator.
+  template <typename DeliverDue>
+  void deliver(DeliverDue&& deliver_due) {
+    if (faults_ == nullptr) {
+      deliver_due([this](double due_s, const ObservationEvent& ev) {
+        estimator_->observe(ev.path, ev.throughput, due_s);
+      });
+    } else {
+      deliver_due([this](double due_s, const ObservationEvent& ev) {
+        if (!faults_->blackout(due_s)) {
+          estimator_->observe(ev.path, ev.throughput, due_s);
+        }
+      });
+    }
+  }
+
   Policy* policy_;
   Estimator* estimator_;
   cache::PartialStore* store_;
-  ObservationQueue* events_;
+  ObservationStore<Estimator>* events_;
   const net::FaultSchedule* faults_ = nullptr;
   bool observes_;
 };

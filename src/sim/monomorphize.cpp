@@ -226,8 +226,10 @@ class Engine final : public MonoEngineBase {
     }
     kernels_.clear();
     for (std::size_t p = 0; p < n; ++p) {
-      kernels_.emplace_back(components_.policy(p), components_.estimator(p),
-                            state_.proxies[p].store, state_.proxies[p].events);
+      kernels_.emplace_back(
+          components_.policy(p), components_.estimator(p),
+          state_.proxies[p].store,
+          observations<typename Components::Estimator>(state_.proxies[p]));
     }
     return run_request_loop(stream, config, state_, kernels_.data(), rng,
                             context.fleet);

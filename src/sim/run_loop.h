@@ -14,10 +14,10 @@
 //     cooperation, per-proxy fault scopes and ProxyStats.
 //
 // The request cursor, the §2.2 delivery table and the path sampler are
-// shared by every proxy; each proxy has its own store, observation
-// queue, in-flight table and fault schedule (ProxyState). "Single cell
-// or fleet" is the null test of the fleet argument: each fleet coupling
-// is one predictable branch the single cell never takes.
+// shared by every proxy; each proxy has its own store, deferred
+// observations, in-flight table and fault schedule (ProxyState).
+// "Single cell or fleet" is the null test of the fleet argument: each
+// fleet coupling is one predictable branch the single cell never takes.
 //
 // The loop is instantiated by the engines of sim/monomorphize.cpp, the
 // only dispatch (sim/arena.h):
@@ -27,7 +27,10 @@
 //     cache::UtilityPolicy<Kernel>, Estimator = a concrete estimator
 //     kernel. Every per-request call (estimate, observe, utility,
 //     admission) inlines, and the "schedule a completion event?" branch
-//     resolves at compile time via ObservationTraits.
+//     resolves at compile time via ObservationTraits. For the EWMA and
+//     last-sample kernels it also picks per-path observation lists
+//     (sim/decision.h): each request delivers only its own path's due
+//     observations, with no global heap to sift.
 //   - components of any other type (user-registered ones): Policy = the
 //     cache::CachePolicy interface, Estimator = the
 //     net::BandwidthEstimator interface.
@@ -83,7 +86,12 @@ struct InFlightStream {
 /// One proxy's mutable state: its store, deferred observations,
 /// in-flight patching table and compiled fault schedule.
 struct ProxyState {
+  /// Deferred observations: in the heap, or for a path-local estimator
+  /// in per-path lists (sim/decision.h, ObservationStore). A run uses
+  /// one; the lists are sized by run_request_loop only when it uses
+  /// them, so every other engine keeps them empty.
   ObservationQueue events;
+  PathObservationLists path_events;
   cache::PartialStore store{0.0};
   std::vector<InFlightStream> in_flight;
   /// Compiled fault schedule (net/fault.h), rebuilt per run from
@@ -121,6 +129,7 @@ struct RunState {
     for (ProxyState& proxy : proxies) {
       proxy.events.clear();
       proxy.events.reserve(64);
+      proxy.path_events.reset(0);
       proxy.store.reset(capacity_bytes);
       proxy.store.reserve(n_objects);
       if (patching) {
@@ -138,11 +147,24 @@ struct RunState {
   }
 };
 
+/// The observation store a decision kernel over `Estimator` defers into
+/// in `proxy`.
+template <typename Estimator>
+[[nodiscard]] ObservationStore<Estimator>& observations(ProxyState& proxy) {
+  if constexpr (ObservationTraits<Estimator>::kPathLocal) {
+    return proxy.path_events;
+  } else {
+    return proxy.events;
+  }
+}
+
 /// Execute the full trace over N proxies and return the measured-window
 /// metrics, aggregated in request order. `kernels[p]` must be built over
-/// `state.proxies[p]`'s store and observation queue, for every proxy of
-/// `state` (reset with n_proxies == fleet->config->proxies). A null
-/// `fleet` is the single cell: only proxy 0 runs.
+/// `state.proxies[p]`'s store and observations<Estimator>(), for every
+/// proxy of `state` (reset with n_proxies == fleet->config->proxies). A
+/// null `fleet` is the single cell: only proxy 0 runs. Request times
+/// must be non-decreasing, as every workload::RequestStream source
+/// guarantees; per-path observation delivery is exact only then.
 ///
 /// `rng` must be the run's root stream (Rng(seed), with "paths" already
 /// forked off by the caller if it built the model here); the loop forks
@@ -198,6 +220,9 @@ template <typename Policy, typename Estimator>
       have_faults ? rng.fork("faults").seed() : 0;
   for (std::size_t p = 0; p < n; ++p) {
     ProxyState& proxy = state.proxies[p];
+    if constexpr (ObservationTraits<Estimator>::kPathLocal) {
+      proxy.path_events.reset(model.size());
+    }
     if (have_faults) {
       const net::FaultScope scope =
           fleet != nullptr
@@ -260,8 +285,9 @@ template <typename Policy, typename Estimator>
       }
       DecisionKernel<Policy, Estimator>& decisions = kernels[p];
       ProxyState& proxy = state.proxies[p];
-      // Deliver pending transfer-completion observations first.
-      decisions.tick(now_s);
+      // Deliver pending transfer-completion observations first: those
+      // this request's estimate can depend on.
+      decisions.tick_path(view.path[id], now_s);
 
       const double duration_s = view.duration_s[id];
       const double bitrate = view.bitrate[id];
@@ -498,9 +524,9 @@ template <typename Policy, typename Estimator>
 [[nodiscard]] SimulationResult run_request_loop(
     const workload::RequestStream& stream, const SimulationConfig& config,
     RunState& state, Policy& policy, Estimator& estimator, util::Rng& rng) {
-  DecisionKernel<Policy, Estimator> kernel(policy, estimator,
-                                           state.proxies[0].store,
-                                           state.proxies[0].events);
+  DecisionKernel<Policy, Estimator> kernel(
+      policy, estimator, state.proxies[0].store,
+      observations<Estimator>(state.proxies[0]));
   return run_request_loop(stream, config, state, &kernel, rng, nullptr);
 }
 

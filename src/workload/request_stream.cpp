@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace sc::workload {
@@ -21,6 +22,13 @@ RequestStream RequestStream::replay(std::shared_ptr<const Workload> workload) {
   columns->object.reserve(workload->requests.size());
   columns->view_s.reserve(workload->requests.size());
   for (const Request& r : workload->requests) {
+    // The request loop's clock, like the trace reader's, never goes
+    // back (sim/run_loop.h relies on it for per-path observations).
+    if (!columns->time_s.empty() && r.time_s < columns->time_s.back()) {
+      throw std::invalid_argument(
+          "RequestStream::replay: request times regress at request #" +
+          std::to_string(columns->time_s.size()));
+    }
     columns->time_s.push_back(r.time_s);
     columns->object.push_back(r.object);
     columns->view_s.push_back(r.view_s);

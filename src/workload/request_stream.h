@@ -66,7 +66,8 @@ class RequestCursor;
 /// (copies share the underlying workload/catalog via shared_ptr).
 class RequestStream {
  public:
-  /// Replay `workload` (must be non-null, non-empty catalog allowed).
+  /// Replay `workload` (must be non-null, non-empty catalog allowed;
+  /// request times must not decrease).
   [[nodiscard]] static RequestStream replay(
       std::shared_ptr<const Workload> workload);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/registry.h"
@@ -34,6 +35,32 @@ TEST(ObservationTraits, KernelTypesAreStaticallyClassified) {
   static_assert(ObservationTraits<net::ProbeKernel>::kStaticallyDiscards);
   static_assert(!ObservationTraits<net::EwmaKernel>::kStaticallyDiscards);
   static_assert(!ObservationTraits<net::LastSampleKernel>::kStaticallyDiscards);
+}
+
+/// A wrapper that re-exports only kUsesObservations, as a timing
+/// adapter around a kernel does.
+template <typename Kernel>
+struct ReexportsUsesOnly {
+  static constexpr bool kUsesObservations = Kernel::kUsesObservations;
+};
+
+TEST(ObservationTraits, OnlyPathLocalKernelsDeferIntoPerPathLists) {
+  static_assert(ObservationTraits<net::EwmaKernel>::kPathLocal);
+  static_assert(ObservationTraits<net::LastSampleKernel>::kPathLocal);
+  static_assert(!ObservationTraits<net::OracleKernel>::kPathLocal);
+  static_assert(!ObservationTraits<net::ProbeKernel>::kPathLocal);
+  static_assert(!ObservationTraits<net::BandwidthEstimator>::kPathLocal);
+  static_assert(
+      !ObservationTraits<ReexportsUsesOnly<net::EwmaKernel>>::kPathLocal);
+  static_assert(!ObservationTraits<
+                ReexportsUsesOnly<net::EwmaKernel>>::kStaticallyDiscards);
+  static_assert(std::is_same_v<ObservationStore<net::EwmaKernel>,
+                               PathObservationLists>);
+  static_assert(std::is_same_v<ObservationStore<net::BandwidthEstimator>,
+                               ObservationQueue>);
+  static_assert(
+      std::is_same_v<ObservationStore<ReexportsUsesOnly<net::EwmaKernel>>,
+                     ObservationQueue>);
 }
 
 TEST(ObservationTraits, VirtualInterfaceIsRuntimeQueried) {
@@ -126,6 +153,61 @@ TEST(DecisionKernel, DrainFlushesRegardlessOfClock) {
   kernel.drain();
   EXPECT_TRUE(events.empty());
   EXPECT_DOUBLE_EQ(kernel.estimate(0, 0.0), 111.0);
+}
+
+TEST(DecisionKernel, PathLocalKernelTicksOnlyTheRequestedPath) {
+  net::EwmaKernel ewma(2, 1.0, 777.0);  // alpha 1: last sample wins
+  cache::PartialStore store(1e9);
+  PathObservationLists events;
+  workload::CatalogConfig cat_cfg;
+  cat_cfg.num_objects = 2;
+  util::Rng cat_rng(1);
+  const auto catalog = workload::Catalog::generate(cat_cfg, cat_rng);
+  net::PassiveEwmaEstimator virt(2, 1.0, 777.0);
+  const auto policy = core::registry::make_policy("lru", catalog, virt);
+
+  DecisionKernel<cache::CachePolicy, net::EwmaKernel> kernel(*policy, ewma,
+                                                             store, events);
+  kernel.record_transfer(0, 100.0, 10.0);
+  kernel.record_transfer(1, 200.0, 10.0);
+  kernel.record_transfer(0, 300.0, 10.0);  // same due time: FIFO after 100
+
+  // Path 0's request delivers path 0's due observations only.
+  kernel.tick_path(0, 10.0);
+  EXPECT_DOUBLE_EQ(kernel.estimate(0, 10.0), 300.0);
+  EXPECT_DOUBLE_EQ(kernel.estimate(1, 10.0), 777.0);
+  EXPECT_EQ(events.size(), 1u);
+
+  // tick() still delivers everything due.
+  kernel.tick(10.0);
+  EXPECT_DOUBLE_EQ(kernel.estimate(1, 10.0), 200.0);
+  EXPECT_TRUE(events.empty());
+}
+
+TEST(DecisionKernel, PathLocalBlackoutFiltersOnTheDueTime) {
+  net::LastSampleKernel last(1, 777.0);
+  cache::PartialStore store(1e9);
+  PathObservationLists events;
+  workload::CatalogConfig cat_cfg;
+  cat_cfg.num_objects = 1;
+  util::Rng cat_rng(1);
+  const auto catalog = workload::Catalog::generate(cat_cfg, cat_rng);
+  net::LastSampleEstimator virt(1, 777.0);
+  const auto policy = core::registry::make_policy("lru", catalog, virt);
+  net::FaultSchedule faults;
+  faults.compile(net::FaultPlan::parse("fault:blackout=100+50"), 1, 0,
+                 net::FaultScope{});
+
+  DecisionKernel<cache::CachePolicy, net::LastSampleKernel> kernel(
+      *policy, last, store, events);
+  kernel.set_faults(&faults);
+  kernel.record_transfer(0, 100.0, 90.0);   // due before the window
+  kernel.record_transfer(0, 200.0, 120.0);  // due inside it: dropped
+  // Delivered after the window has closed, each is still judged at its
+  // own due time.
+  kernel.tick_path(0, 200.0);
+  EXPECT_DOUBLE_EQ(kernel.estimate(0, 200.0), 100.0);
+  EXPECT_TRUE(events.empty());
 }
 
 TEST(DecisionKernel, AdmitRunsThePolicyAndReportsTheNewPrefix) {

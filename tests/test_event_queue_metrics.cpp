@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
+#include "util/rng.h"
 
 namespace sc::sim {
 namespace {
@@ -106,6 +110,95 @@ TEST(ObservationQueue, PayloadsSurviveInterleavedScheduling) {
     seen.push_back(ev.throughput);
   });
   EXPECT_EQ(seen, (std::vector<double>{10.0, 20.0, 30.0}));
+}
+
+/// One observation as the path that receives it sees it.
+struct Delivered {
+  double time;
+  double throughput;
+  bool operator==(const Delivered& o) const {
+    return time == o.time && throughput == o.throughput;
+  }
+};
+using PerPath = std::vector<std::vector<Delivered>>;
+
+/// Drive `lists` and a fresh ObservationQueue through one seeded script
+/// of schedules, per-path deliveries and full drains over 8 paths, as
+/// the request loop does: the clock never goes back and every event is
+/// due at or after the time it is scheduled. Due times sit on a coarse
+/// grid, so a path often holds several events due at once, each with a
+/// distinct throughput. After every per-path delivery that path must
+/// have received exactly its subsequence of the heap's deliveries so
+/// far. Returns what each path received from `lists`; events still
+/// pending when the script ends are left in it.
+PerPath run_script(std::uint64_t seed, PathObservationLists& lists) {
+  constexpr std::size_t kPaths = 8;
+  ObservationQueue heap;
+  PerPath from_heap(kPaths), from_lists(kPaths);
+  const auto heap_sink = [&](double t, const ObservationEvent& ev) {
+    from_heap[ev.path].push_back({t, ev.throughput});
+  };
+  const auto lists_sink = [&](double t, const ObservationEvent& ev) {
+    from_lists[ev.path].push_back({t, ev.throughput});
+  };
+  util::Rng rng(seed);
+  double now = 0.0;
+  double throughput = 1.0;
+  for (int step = 0; step < 3000; ++step) {
+    const double op = rng.uniform();
+    const auto path =
+        static_cast<std::size_t>(rng.uniform_int(0, kPaths - 1));
+    if (op < 0.6) {
+      const double due =
+          now + 0.5 * static_cast<double>(rng.uniform_int(0, 3));
+      heap.schedule(due, ObservationEvent{path, throughput});
+      lists.schedule(due, ObservationEvent{path, throughput});
+      throughput += 1.0;
+    } else if (op < 0.995) {
+      now += 0.5 * static_cast<double>(rng.uniform_int(0, 1));
+      heap.run_until(now, heap_sink);
+      lists.run_until(path, now, lists_sink);
+      EXPECT_EQ(from_lists[path], from_heap[path])
+          << "seed " << seed << ", step " << step << ", path " << path;
+    } else {
+      heap.run_all(heap_sink);
+      lists.run_until(std::numeric_limits<double>::infinity(), lists_sink);
+      EXPECT_EQ(from_lists, from_heap) << "seed " << seed << ", step "
+                                       << step;
+      EXPECT_TRUE(lists.empty());
+    }
+  }
+  // The heap has run ahead on paths not requested since; each path's
+  // deliveries so far are a prefix of the heap's.
+  for (std::size_t p = 0; p < kPaths; ++p) {
+    EXPECT_LE(from_lists[p].size(), from_heap[p].size());
+    EXPECT_TRUE(std::equal(from_lists[p].begin(), from_lists[p].end(),
+                           from_heap[p].begin()))
+        << "seed " << seed << ", path " << p;
+  }
+  return from_lists;
+}
+
+TEST(PathObservationLists, EachPathReceivesItsSubsequenceOfTheHeap) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    PathObservationLists lists;
+    lists.reset(8);
+    run_script(seed, lists);
+  }
+}
+
+TEST(PathObservationLists, ReusedAfterResetBehavesLikeFresh) {
+  PathObservationLists reused;
+  reused.reset(3);  // fewer heads than paths: the rest grow on demand
+  run_script(11, reused);
+  ASSERT_FALSE(reused.empty());  // the reset below must drop these
+  for (std::uint64_t seed = 12; seed <= 16; ++seed) {
+    reused.reset(8);
+    PathObservationLists fresh;
+    EXPECT_EQ(run_script(seed, reused), run_script(seed, fresh))
+        << "seed " << seed;
+    EXPECT_EQ(reused.size(), fresh.size());
+  }
 }
 
 TEST(Metrics, AccumulatesPerRequestOutcomes) {

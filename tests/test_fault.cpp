@@ -339,6 +339,28 @@ TEST(FaultSimulation, KernelAndVirtualEnginesAgreeUnderFaults) {
     const auto b = core::run_experiment(virt, scenario);
     expect_field_identical(a, b);
   }
+  // Under constant bandwidth a path's observations differ only where a
+  // fault window scales its bandwidth, so the order in which they arrive
+  // rarely changes an estimate. Under measured variability it does: the
+  // kernel engine delivers each path's observations from its own list,
+  // the virtual one from the global heap, and blackouts must drop the
+  // same ones.
+  const auto variable = core::measured_variability_scenario();
+  for (const char* estimator : {"ewma", "last"}) {
+    for (const char* plan :
+         {kMeasuredOutage, "fault:degrade=14000+8000x0.25",
+          "fault:flap=14000+8000@120", "fault:blackout=14000+8000"}) {
+      core::ExperimentConfig kernel = chaos_config();
+      kernel.sim.estimator = estimator;
+      kernel.sim.fault = net::FaultPlan::parse(plan);
+      core::ExperimentConfig virt = kernel;
+      virt.sim.policy = testing::virtual_spec(kernel.sim.policy);
+      virt.sim.estimator = testing::virtual_spec(kernel.sim.estimator);
+      SCOPED_TRACE(std::string(estimator) + " under " + plan);
+      expect_field_identical(core::run_experiment(kernel, variable),
+                             core::run_experiment(virt, variable));
+    }
+  }
 }
 
 TEST(FaultSimulation, BlackoutStarvesPassiveEstimatorsOnly) {

@@ -54,13 +54,10 @@ workload::Workload make_workload(std::size_t requests) {
   return workload::generate_workload(cfg, rng);
 }
 
-std::uint64_t allocations_for_run(const workload::Workload& w,
-                                  const std::string& policy,
-                                  const std::string& estimator,
-                                  bool patching = false,
-                                  bool viewing = false) {
-  const auto base = core::constant_scenario().base;
-  const auto ratio = core::constant_scenario().ratio;
+std::uint64_t allocations_for_run(
+    const workload::Workload& w, const std::string& policy,
+    const std::string& estimator, bool patching = false, bool viewing = false,
+    const core::Scenario& scenario = core::constant_scenario()) {
   SimulationConfig cfg;
   cfg.cache_capacity_bytes =
       core::capacity_for_fraction(workload::CatalogConfig{}, 0.001);
@@ -68,7 +65,8 @@ std::uint64_t allocations_for_run(const workload::Workload& w,
   cfg.estimator = estimator;
   cfg.patching.enabled = patching;
   cfg.viewing.enabled = viewing;
-  Simulator simulator(w, base, ratio, cfg);
+  cfg.path_config.mode = scenario.mode;
+  Simulator simulator(w, scenario.base, scenario.ratio, cfg);
   const std::uint64_t before = g_news.load();
   (void)simulator.run();
   return g_news.load() - before;
@@ -261,15 +259,30 @@ TEST(HotPathAllocations, StreamingAllocationsDoNotScaleWithTraceLength) {
 }
 
 TEST(HotPathAllocations, PassiveEstimatorPathIsAllocationFreeToo) {
-  // The EWMA estimator exercises the deferred ObservationEvent path for
-  // every origin transfer; it must not bring back per-event allocation.
+  // The EWMA and last-sample estimators exercise the deferred
+  // ObservationEvent path (per-path lists on their kernel engines) for
+  // every origin transfer; it must not bring back per-event allocation,
+  // under constant or iid-variable bandwidth.
   const auto short_trace = make_workload(5000);
   const auto long_trace = make_workload(20000);
-  (void)allocations_for_run(short_trace, "pb", "ewma:alpha=0.3");
-  const auto a_short = allocations_for_run(short_trace, "pb", "ewma:alpha=0.3");
-  const auto a_long = allocations_for_run(long_trace, "pb", "ewma:alpha=0.3");
-  EXPECT_LE(a_long, a_short + 64)
-      << a_short << " allocs at 5k requests vs " << a_long << " at 20k";
+  struct Case {
+    const char* estimator;
+    core::Scenario scenario;
+  };
+  for (const Case& c :
+       {Case{"ewma:alpha=0.3", core::constant_scenario()},
+        Case{"last", core::constant_scenario()},
+        Case{"ewma:alpha=0.3", core::nlanr_variability_scenario()}}) {
+    (void)allocations_for_run(short_trace, "pb", c.estimator, false, false,
+                              c.scenario);
+    const auto a_short = allocations_for_run(short_trace, "pb", c.estimator,
+                                             false, false, c.scenario);
+    const auto a_long = allocations_for_run(long_trace, "pb", c.estimator,
+                                            false, false, c.scenario);
+    EXPECT_LE(a_long, a_short + 64)
+        << c.estimator << " under " << c.scenario.name << ": " << a_short
+        << " allocs at 5k requests vs " << a_long << " at 20k";
+  }
 }
 
 }  // namespace

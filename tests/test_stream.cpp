@@ -95,6 +95,16 @@ TEST(RequestStream, ReplayRejectsNullAndZeroChunk) {
   EXPECT_THROW(cursor.bind(stream, 0), std::invalid_argument);
 }
 
+TEST(RequestStream, ReplayRejectsRegressingTimes) {
+  util::Rng rng(3);
+  auto workload = std::make_shared<Workload>(
+      generate_workload(small_config(50, 100), rng));
+  workload->requests[40].time_s = workload->requests[39].time_s;  // a tie
+  EXPECT_NO_THROW((void)RequestStream::replay(workload));
+  workload->requests[60].time_s = workload->requests[59].time_s - 1.0;
+  EXPECT_THROW((void)RequestStream::replay(workload), std::invalid_argument);
+}
+
 TEST(RequestStream, TraceFileStreamMatchesReplay) {
   util::Rng rng(13);
   const Workload w = generate_workload(small_config(80, 800), rng);
