@@ -75,6 +75,7 @@ void Sharder::compile(const ShardingConfig& config, std::size_t n_proxies,
   n_proxies_ = n_proxies;
   seed_ = seed;
   ring_.clear();
+  slice_first_.clear();
   client_proxy_.clear();
   switch (config.mode) {
     case ShardingConfig::Mode::kHash: {
@@ -94,6 +95,20 @@ void Sharder::compile(const ShardingConfig& config, std::size_t n_proxies,
                   return a.point < b.point ||
                          (a.point == b.point && a.proxy < b.proxy);
                 });
+      // Index 2^k equal slices of the hash space, 2^k >= ring size (and
+      // k >= 1 so the shift stays below 64): each slice keeps the first
+      // ring point at or past its start, so a lookup steps over about
+      // one point instead of binary-searching the ring.
+      int bits = 1;
+      while ((std::size_t{1} << bits) < ring_.size()) ++bits;
+      slice_shift_ = 64 - bits;
+      slice_first_.resize(std::size_t{1} << bits);
+      std::size_t pos = 0;
+      for (std::size_t s = 0; s < slice_first_.size(); ++s) {
+        const std::uint64_t start = std::uint64_t{s} << slice_shift_;
+        while (pos < ring_.size() && ring_[pos].point < start) ++pos;
+        slice_first_[s] = static_cast<std::uint32_t>(pos);
+      }
       break;
     }
     case ShardingConfig::Mode::kAffinity: {
@@ -116,13 +131,14 @@ std::uint32_t Sharder::proxy_for(std::size_t request_index,
   switch (config_.mode) {
     case ShardingConfig::Mode::kHash: {
       // Clockwise successor on the ring: the first point >= the object's
-      // hash, wrapping to the first point past the top.
+      // hash, wrapping to the first point past the top. Every point
+      // before the hash's slice entry lies below the slice start, so the
+      // scan from there finds what std::lower_bound would.
       const std::uint64_t h =
           util::splitmix64(seed_ ^ util::splitmix64(object + 1));
-      const auto it = std::lower_bound(
-          ring_.begin(), ring_.end(), h,
-          [](const RingPoint& rp, std::uint64_t key) { return rp.point < key; });
-      return it != ring_.end() ? it->proxy : ring_.front().proxy;
+      std::size_t pos = slice_first_[h >> slice_shift_];
+      while (pos < ring_.size() && ring_[pos].point < h) ++pos;
+      return pos < ring_.size() ? ring_[pos].proxy : ring_.front().proxy;
     }
     case ShardingConfig::Mode::kAffinity: {
       const std::size_t client =

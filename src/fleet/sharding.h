@@ -78,6 +78,10 @@ class Sharder {
   std::uint64_t seed_ = 0;
   /// hash mode: ring points sorted by point (clockwise successor lookup).
   std::vector<RingPoint> ring_;
+  /// hash mode: for hash slice `h >> slice_shift_`, the position of the
+  /// first ring point at or past the slice's start.
+  std::vector<std::uint32_t> slice_first_;
+  int slice_shift_ = 63;
   /// affinity mode: client index -> proxy pin.
   std::vector<std::uint32_t> client_proxy_;
 };

@@ -5,8 +5,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -93,14 +95,12 @@ void ProxyDaemon::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   if (ticker_thread_.joinable()) ticker_thread_.join();
   // Connection threads observe stop_ at their next poll timeout.
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
+    conns.swap(conns_);
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& c : conns) c.thread.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -108,11 +108,31 @@ void ProxyDaemon::stop() {
   started_ = false;
 }
 
+std::size_t ProxyDaemon::tracked_connections() const {
+  const std::lock_guard<std::mutex> lock(conn_mu_);
+  return conns_.size();
+}
+
+void ProxyDaemon::reap_finished() {
+  // A thread that set its done flag has left handle_connection, so the
+  // join returns at once.
+  const std::lock_guard<std::mutex> lock(conn_mu_);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void ProxyDaemon::accept_loop() {
   // Log fd exhaustion once per episode, not once per rejected accept —
   // a saturated daemon must not also saturate its log.
   bool fd_exhaustion_logged = false;
   while (!stop_.load(std::memory_order_relaxed)) {
+    reap_finished();
     pollfd p{listen_fd_, POLLIN, 0};
     const int r = ::poll(&p, 1, kPollMs);
     if (r < 0) {
@@ -155,7 +175,11 @@ void ProxyDaemon::accept_loop() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     connections_.fetch_add(1, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    Connection& conn = conns_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
+      handle_connection(fd);
+      conn.done = true;
+    });
   }
 }
 
@@ -176,7 +200,13 @@ void ProxyDaemon::ticker_loop() {
 
 void ProxyDaemon::handle_connection(int fd) {
   std::vector<std::uint8_t> body;
+  // A reply goes out as `reply` (status and fixed fields) followed by
+  // `payload_n` bytes of `payload` in one gather write. GET payloads are
+  // filled straight into `payload`, which is never zero-filled and grows
+  // only when a longer range arrives (at most kMaxGetLength).
   std::vector<std::uint8_t> reply;
+  std::unique_ptr<std::uint8_t[]> payload;
+  std::size_t payload_capacity = 0;
   // Per-connection session state: a contiguous run of GETs for one
   // object is one streaming session (engine.h's offset == 0 contract).
   bool streaming = false;
@@ -207,6 +237,7 @@ void ProxyDaemon::handle_connection(int fd) {
     last_activity = std::chrono::steady_clock::now();
 
     reply.clear();
+    std::size_t payload_n = 0;
     if (body.empty()) {
       reply.push_back(wire::kBadRequest);
     } else if (body[0] == wire::kOpGet) {
@@ -232,15 +263,16 @@ void ProxyDaemon::handle_connection(int fd) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(res.origin_wall_s));
           }
-          reply.reserve(wire::kGetResponseHeader + req.length);
           reply.push_back(wire::kOk);
           wire::put_u64(reply, res.cache_bytes);
           wire::put_u64(reply, res.origin_bytes);
           wire::put_f64(reply, res.delay_s);
-          const std::size_t header = reply.size();
-          reply.resize(header + req.length);
-          fill_payload(req.object, req.offset, reply.data() + header,
-                       req.length);
+          payload_n = static_cast<std::size_t>(req.length);
+          if (payload_n > payload_capacity) {
+            payload.reset(new std::uint8_t[payload_n]);
+            payload_capacity = payload_n;
+          }
+          fill_payload(req.object, req.offset, payload.get(), payload_n);
         }
       }
     } else if (body[0] == wire::kOpStat) {
@@ -267,7 +299,10 @@ void ProxyDaemon::handle_connection(int fd) {
     } else {
       reply.push_back(wire::kBadRequest);
     }
-    if (!wire::write_frame(fd, reply.data(), reply.size())) break;
+    if (!wire::write_frame(fd, reply.data(), reply.size(), payload.get(),
+                           payload_n)) {
+      break;
+    }
   }
 
   if (streaming) engine_.end_session(session_object, high_water);

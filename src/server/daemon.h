@@ -14,15 +14,18 @@
 // the stop flag, and receive/send timeouts on connection sockets bound
 // how long a mid-frame peer can hold a thread — so stop() joins every
 // thread and closes every fd it opened (the loopback integration test
-// asserts no fd leaks across a full start/serve/stop cycle).
+// asserts no fd leaks across a full start/serve/stop cycle). A
+// connection thread marks itself done as it exits, and the accept loop
+// joins finished threads as it goes, so a long-lived daemon holds a
+// thread only for each open connection, not for every one it served.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "server/engine.h"
 
@@ -66,8 +69,18 @@ class ProxyDaemon {
     return connections_.load(std::memory_order_relaxed);
   }
 
+  /// Connection threads not yet joined: the open connections plus any
+  /// that finished since the accept loop last reaped.
+  [[nodiscard]] std::size_t tracked_connections() const;
+
  private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};  // set by the thread as it exits
+  };
+
   void accept_loop();
+  void reap_finished();
   void ticker_loop();
   void handle_connection(int fd);
 
@@ -80,8 +93,8 @@ class ProxyDaemon {
   std::atomic<std::size_t> connections_{0};
   std::thread accept_thread_;
   std::thread ticker_thread_;
-  std::mutex conn_mu_;  // guards conn_threads_
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex conn_mu_;  // guards conns_
+  std::list<Connection> conns_;  // stable addresses for the done flags
   std::mutex tick_mu_;  // pairs with tick_cv_ for prompt shutdown
   std::condition_variable tick_cv_;
 };

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace sc::server {
 
@@ -42,7 +43,9 @@ namespace sc::server {
                                    ((offset & 7) * 8));
 }
 
-/// Fill `out[0, n)` with object bytes [offset, offset + n).
+/// Fill `out[0, n)` with object bytes [offset, offset + n): the bytes
+/// of payload_byte, with the object key mixed once per call and each
+/// whole block written by one 8-byte store.
 inline void fill_payload(std::uint64_t object, std::uint64_t offset,
                          std::uint8_t* out, std::size_t n) {
   std::size_t i = 0;
@@ -51,13 +54,17 @@ inline void fill_payload(std::uint64_t object, std::uint64_t offset,
     out[i] = payload_byte(object, offset + i);
     ++i;
   }
-  while (n - i >= 8) {
-    std::uint64_t block = payload_block(object, (offset + i) >> 3);
+  const std::uint64_t key = mix64(object + 1);  // payload_block's, hoisted
+  for (; n - i >= 8; i += 8) {
+    const std::uint64_t block = mix64(key ^ ((offset + i) >> 3));
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    std::memcpy(out + i, &block, sizeof block);
+#else
     for (int b = 0; b < 8; ++b) {
       out[i + static_cast<std::size_t>(b)] =
           static_cast<std::uint8_t>(block >> (8 * b));
     }
-    i += 8;
+#endif
   }
   while (i < n) {
     out[i] = payload_byte(object, offset + i);

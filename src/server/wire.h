@@ -146,10 +146,18 @@ inline void encode_get(std::vector<std::uint8_t>& out, const GetRequest& r) {
 
 // --- framed socket IO ------------------------------------------------
 
-/// Write one frame (u32 length + body) to a connected socket, retrying
-/// partial writes and EINTR. False on any hard error (peer gone).
+/// Write one frame (u32 length + body) to a connected socket as one
+/// gather write, retrying partial writes and EINTR. False on any hard
+/// error (peer gone, send timeout).
 [[nodiscard]] bool write_frame(int fd, const std::uint8_t* body,
                                std::size_t n);
+
+/// Write one frame whose body is `head` followed by `tail`, in the same
+/// single gather write: the caller need not copy the two into one
+/// buffer. Either part may be empty.
+[[nodiscard]] bool write_frame(int fd, const std::uint8_t* head,
+                               std::size_t head_n, const std::uint8_t* tail,
+                               std::size_t tail_n);
 
 /// Read one frame body into `body` (replacing its contents). Returns
 /// false on clean EOF before a frame starts, on a hard read error, or on

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -192,6 +195,62 @@ TEST(Fleet, ThreadCountNeverChangesAnyFleetMetric) {
 }
 
 // ------------------------------------------------------- sharding balance
+
+TEST(Sharder, HashLookupMatchesALowerBoundReferenceRing) {
+  // An independent ring, built with compile()'s point formula and
+  // searched with std::lower_bound (wrapping past the top point), must
+  // pick the same proxy as the indexed lookup for every object id.
+  struct RingPoint {
+    std::uint64_t point;
+    std::uint32_t proxy;
+  };
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {2, 1}, {3, 7}, {16, 64}, {64, 512}};
+  std::size_t wraps = 0;
+  for (const auto& [proxies, vnodes] : shapes) {
+    for (const std::uint64_t seed : {0ull, 311ull, 0xDEADBEEFCAFEF00Dull}) {
+      std::vector<RingPoint> ring;
+      for (std::size_t p = 0; p < proxies; ++p) {
+        for (std::size_t v = 0; v < vnodes; ++v) {
+          ring.push_back(RingPoint{
+              util::splitmix64(
+                  seed ^ util::splitmix64(0x9E3779B97F4A7C15ull * (p + 1) +
+                                          0xBF58476D1CE4E5B9ull * (v + 1))),
+              static_cast<std::uint32_t>(p)});
+        }
+      }
+      std::sort(ring.begin(), ring.end(),
+                [](const RingPoint& a, const RingPoint& b) {
+                  return a.point < b.point ||
+                         (a.point == b.point && a.proxy < b.proxy);
+                });
+      ShardingConfig config;
+      config.mode = ShardingConfig::Mode::kHash;
+      config.vnodes = vnodes;
+      fleet::Sharder sharder;
+      sharder.compile(config, proxies, seed);
+      for (std::uint64_t i = 0; i < 100000; ++i) {
+        // Dense small ids, then ids spread over the whole 64-bit range.
+        const workload::ObjectId object =
+            i < 50000 ? i : util::splitmix64(seed + i);
+        const std::uint64_t h =
+            util::splitmix64(seed ^ util::splitmix64(object + 1));
+        const auto it = std::lower_bound(
+            ring.begin(), ring.end(), h,
+            [](const RingPoint& rp, std::uint64_t key) {
+              return rp.point < key;
+            });
+        wraps += it == ring.end();
+        const std::uint32_t expect =
+            it != ring.end() ? it->proxy : ring.front().proxy;
+        ASSERT_EQ(sharder.proxy_for(i, object), expect)
+            << "ring " << proxies << "x" << vnodes << " seed " << seed
+            << " object " << object;
+      }
+    }
+  }
+  EXPECT_GT(wraps, 0u);  // the wrap-around branch was exercised
+}
 
 TEST(Fleet, HashShardingBoundedImbalanceUnderZipf) {
   const FleetResult r =

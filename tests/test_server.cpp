@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -18,6 +20,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -79,7 +82,153 @@ TEST(Wire, GetRequestRoundTrip) {
   EXPECT_FALSE(wire::decode_get(frame.data(), frame.size(), out));
 }
 
+void ignore_signal(int) {}
+
+TEST(Wire, GatherWritesSurviveShortWritesAndOddSizedReads) {
+  // Frames go out through a shrunken send buffer while a relay thread
+  // drains it in odd-sized chunks and a signal keeps interrupting the
+  // writer: sendmsg returns short counts and EINTR, and every frame
+  // must still come back byte-exact through read_frame.
+  struct Frame {
+    std::vector<std::uint8_t> head;
+    std::vector<std::uint8_t> tail;
+  };
+  const auto bytes = [](std::uint64_t object, std::size_t n) {
+    std::vector<std::uint8_t> v(n);
+    fill_payload(object, 3, v.data(), n);
+    return v;
+  };
+  const std::vector<Frame> frames = {
+      {{}, bytes(1, 70001)},                           // empty head
+      {bytes(2, 70001), {}},                           // empty tail
+      {bytes(3, 1), {}},                               // 1-byte body
+      {bytes(4, 25), bytes(5, wire::kMaxFrame - 25)},  // kMaxFrame body
+      {{}, {}},                                        // empty body
+      {bytes(6, 4099), bytes(7, 13)},
+  };
+  const std::vector<std::uint8_t> single = bytes(8, 9001);
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (const Frame& f : frames) {
+    expected.push_back(f.head);
+    expected.back().insert(expected.back().end(), f.tail.begin(),
+                           f.tail.end());
+  }
+  expected.push_back(single);
+
+  int out[2];  // writer -> relay
+  int in[2];   // relay -> read_frame
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, out), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, in), 0);
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(out[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small),
+            0);
+
+  struct sigaction action {};
+  struct sigaction saved {};
+  action.sa_handler = ignore_signal;  // no SA_RESTART: EINTR surfaces
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &saved), 0);
+
+  std::atomic<bool> writing{true};
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    bool ok = true;
+    for (const Frame& f : frames) {
+      ok = ok && wire::write_frame(out[0], f.head.data(), f.head.size(),
+                                   f.tail.data(), f.tail.size());
+    }
+    // The two-argument form is the same gather write with no tail.
+    ok = ok && wire::write_frame(out[0], single.data(), single.size());
+    written = ok;
+    writing = false;
+    ::shutdown(out[0], SHUT_WR);
+  });
+  const pthread_t writer_handle = writer.native_handle();
+  std::thread interrupter([&] {
+    while (writing) {
+      ::pthread_kill(writer_handle, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  std::thread relay([&] {
+    const std::size_t chunks[] = {1, 3, 7, 13, 251, 4099};
+    std::vector<std::uint8_t> buf(4099);
+    for (std::size_t k = 0;; ++k) {
+      // Pause now and then so the writer blocks with nothing sent and a
+      // signal finds it there (EINTR rather than a short count).
+      if (k % 64 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      const ssize_t r = ::read(out[1], buf.data(), chunks[k % 6]);
+      if (r <= 0) break;
+      ssize_t done = 0;
+      while (done < r) {
+        const ssize_t w = ::send(in[0], buf.data() + done,
+                                 static_cast<std::size_t>(r - done),
+                                 MSG_NOSIGNAL);
+        if (w <= 0) break;
+        done += w;
+      }
+      if (done < r) break;
+    }
+    // EOF onwards, and EPIPE back to a writer still sending when the
+    // reader stopped early.
+    ::shutdown(out[1], SHUT_RDWR);
+    ::shutdown(in[0], SHUT_RDWR);
+  });
+
+  // Read to EOF and join every thread before checking anything.
+  std::vector<std::vector<std::uint8_t>> received;
+  std::vector<std::uint8_t> body;
+  while (received.size() <= expected.size() &&
+         wire::read_frame(in[1], body)) {
+    received.push_back(body);
+  }
+  ::shutdown(in[1], SHUT_RDWR);
+  interrupter.join();
+  writer.join();
+  relay.join();
+  EXPECT_EQ(::sigaction(SIGUSR1, &saved, nullptr), 0);
+  for (const int fd : {out[0], out[1], in[0], in[1]}) ::close(fd);
+
+  EXPECT_TRUE(written);
+  ASSERT_EQ(received.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(received[i] == expected[i]) << "frame " << i;
+  }
+}
+
 // ---------------------------------------------------------------- payload
+
+TEST(Payload, PinnedBytes) {
+  // Literal content, so fill_payload and payload_byte cannot drift
+  // together unnoticed.
+  struct Pin {
+    std::uint64_t object;
+    std::uint64_t offset;
+    std::uint8_t bytes[12];
+  };
+  const Pin pins[] = {
+      {0, 0,
+       {0x1e, 0x61, 0x39, 0x74, 0x08, 0xab, 0x41, 0x5e, 0x1e, 0xf2, 0x5a,
+        0xd6}},
+      {7, 4101,
+       {0x08, 0x08, 0x26, 0xfa, 0x72, 0x8c, 0xd9, 0xd5, 0xab, 0xe2, 0x8e,
+        0x4a}},
+      {123456789, 1000003,
+       {0x18, 0xea, 0x32, 0xf6, 0x4f, 0xad, 0x2c, 0xf5, 0xee, 0x23, 0x0d,
+        0x33}},
+  };
+  for (const Pin& pin : pins) {
+    std::uint8_t filled[12];
+    fill_payload(pin.object, pin.offset, filled, sizeof filled);
+    for (std::size_t i = 0; i < 12; ++i) {
+      EXPECT_EQ(filled[i], pin.bytes[i])
+          << "object " << pin.object << " offset " << pin.offset + i;
+      EXPECT_EQ(payload_byte(pin.object, pin.offset + i), pin.bytes[i])
+          << "object " << pin.object << " offset " << pin.offset + i;
+    }
+  }
+}
 
 TEST(Payload, ByteIsDeterministicAndObjectDependent) {
   EXPECT_EQ(payload_byte(1, 0), payload_byte(1, 0));
@@ -526,6 +675,99 @@ TEST(ProxyDaemon, AcceptLoopSurvivesFdExhaustion) {
   ProxyClient fresh("127.0.0.1", daemon.port());
   EXPECT_EQ(fresh.get(0, 0, 1024).status, wire::kOk);
   daemon.stop();
+}
+
+TEST(ProxyDaemon, RepliesOnOneConnectionCarryExactlyTheirOwnBytes) {
+  // A connection reuses one payload buffer across GETs: a short reply
+  // after a long one, and payload-free replies after both, must carry
+  // exactly their own length and bytes.
+  ServiceEngine engine(small_config());
+  ProxyDaemon daemon(engine);
+  daemon.start();
+  std::uint64_t object = 0;
+  while (object < engine.catalog().size() &&
+         engine.object_size(object) < 512 * 1024) {
+    ++object;
+  }
+  ASSERT_LT(object, engine.catalog().size());
+  const int fd = raw_connect(daemon.port());
+  ASSERT_GE(fd, 0);
+
+  std::vector<std::uint8_t> request;
+  std::vector<std::uint8_t> body;
+  const auto round_trip = [&] {
+    ASSERT_TRUE(wire::write_frame(fd, request.data(), request.size()));
+    ASSERT_TRUE(wire::read_frame(fd, body));
+  };
+  const auto get = [&](std::uint64_t offset, std::uint64_t length) {
+    request.clear();
+    wire::encode_get(request, wire::GetRequest{object, offset, length});
+    round_trip();
+    ASSERT_EQ(body.size(), wire::kGetResponseHeader + length);
+    EXPECT_EQ(body[0], wire::kOk);
+    EXPECT_EQ(wire::get_u64(body.data() + 1) + wire::get_u64(body.data() + 9),
+              length);
+    std::vector<std::uint8_t> expect(length);
+    fill_payload(object, offset, expect.data(), length);
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                           body.begin() + wire::kGetResponseHeader));
+  };
+  get(0, 256 * 1024);
+  get(256 * 1024 + 5, 4096);
+
+  request = {wire::kOpStat};
+  wire::put_u64(request, object);
+  round_trip();
+  ASSERT_EQ(body.size(), wire::kStatResponseSize);
+  EXPECT_EQ(body[0], wire::kOk);
+  EXPECT_EQ(wire::get_u64(body.data() + 1), engine.object_size(object));
+
+  request = {wire::kOpStats};
+  round_trip();
+  ASSERT_GE(body.size(), 3u);
+  EXPECT_EQ(body[0], wire::kOk);
+  EXPECT_EQ(body[1], '{');
+  EXPECT_EQ(body.back(), '}');
+
+  request.clear();
+  wire::encode_get(request,
+                   wire::GetRequest{object, engine.object_size(object), 1});
+  round_trip();
+  ASSERT_EQ(body.size(), 1u);
+  EXPECT_EQ(body[0], wire::kBadRange);
+
+  ::close(fd);
+  daemon.stop();
+}
+
+TEST(ProxyDaemon, FinishedConnectionThreadsAreReaped) {
+  // A long-lived daemon holds threads only for its open connections:
+  // the accept loop joins each finished one, so sequential clients do
+  // not pile up threads and stacks until stop().
+  const std::size_t fds_before = open_fd_count();
+  ServiceEngine engine(small_config());
+  ProxyDaemon daemon(engine);
+  daemon.start();
+  constexpr std::size_t kCycles = 300;
+  std::size_t most_tracked = 0;
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    ProxyClient client("127.0.0.1", daemon.port());
+    ASSERT_EQ(client.get(i % 8, 0, 512).status, wire::kOk);
+    client.close();
+    most_tracked = std::max(most_tracked, daemon.tracked_connections());
+  }
+  EXPECT_LE(most_tracked, 16u);
+  EXPECT_EQ(daemon.connections_accepted(), kCycles);
+  // An idle accept loop reaps too, at its next poll timeout.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.tracked_connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(daemon.tracked_connections(), 0u);
+  daemon.stop();
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 }  // namespace
