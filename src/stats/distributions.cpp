@@ -19,31 +19,30 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   if (total <= 0) throw std::invalid_argument("AliasTable: zero total mass");
 
   // Vose's method: scale masses to mean 1, then pair each under-full
-  // bucket with an over-full donor.
-  prob_.assign(n, 1.0);
-  alias_.resize(n);
-  std::vector<double> scaled(n);
+  // bucket with an over-full donor. A bucket's prob holds its scaled
+  // mass until it is paired, when that mass becomes its threshold.
+  buckets_.resize(n);
   std::vector<std::size_t> small, large;
   small.reserve(n);
   large.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    alias_[i] = i;
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-    (scaled[i] < 1.0 ? small : large).push_back(i);
+    buckets_[i] = {weights[i] * static_cast<double>(n) / total, i};
+    (buckets_[i].prob < 1.0 ? small : large).push_back(i);
   }
   while (!small.empty() && !large.empty()) {
     const std::size_t s = small.back();
     const std::size_t l = large.back();
     small.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] -= 1.0 - scaled[s];
-    if (scaled[l] < 1.0) {
+    buckets_[s].alias = l;
+    buckets_[l].prob -= 1.0 - buckets_[s].prob;
+    if (buckets_[l].prob < 1.0) {
       large.pop_back();
       small.push_back(l);
     }
   }
-  // Leftovers (rounding) keep prob 1.0: they never divert to an alias.
+  // Leftovers (rounding) get prob 1.0: they never divert to an alias.
+  for (const std::size_t i : small) buckets_[i].prob = 1.0;
+  for (const std::size_t i : large) buckets_[i].prob = 1.0;
 }
 
 namespace {
@@ -61,12 +60,13 @@ std::vector<double> zipf_weights(std::size_t n, double alpha) {
 }  // namespace
 
 ZipfLike::ZipfLike(std::size_t n, double alpha)
-    : n_(n), alpha_(alpha), alias_(zipf_weights(n, alpha)) {
-  cdf_.resize(n);
+    : n_(n), alpha_(alpha), cdf_(zipf_weights(n, alpha)), alias_(cdf_) {
+  // cdf_ holds the weights the alias table was built from; accumulate
+  // them in place.
   double sum = 0.0;
-  for (std::size_t r = 1; r <= n; ++r) {
-    sum += std::pow(static_cast<double>(r), -alpha);
-    cdf_[r - 1] = sum;
+  for (auto& v : cdf_) {
+    sum += v;
+    v = sum;
   }
   for (auto& v : cdf_) v /= sum;
   cdf_.back() = 1.0;  // guard against rounding
@@ -102,10 +102,6 @@ double Lognormal::variance() const {
 
 Exponential::Exponential(double rate) : rate_(rate) {
   if (rate <= 0) throw std::invalid_argument("Exponential: rate must be > 0");
-}
-
-double Exponential::sample(util::Rng& rng) const {
-  return rng.exponential(rate_);
 }
 
 Pareto::Pareto(double scale, double shape) : scale_(scale), shape_(shape) {

@@ -3,7 +3,9 @@
 // Pareto, and uniform. All sample through sc::util::Rng for determinism.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -12,8 +14,8 @@ namespace sc::stats {
 
 /// O(1) sampling from an arbitrary finite discrete distribution via the
 /// alias method (Vose's stable construction). Build is O(n); every
-/// sample consumes exactly one uniform draw and does two array reads —
-/// no binary search, no allocation.
+/// sample consumes exactly one uniform draw and reads one bucket — no
+/// binary search, no branch on the draw, no allocation.
 class AliasTable {
  public:
   /// `weights` are unnormalized non-negative masses; at least one must
@@ -22,19 +24,29 @@ class AliasTable {
 
   /// Sample an index in [0, size()).
   [[nodiscard]] std::size_t sample(util::Rng& rng) const {
-    // One uniform split into (bucket, acceptance) parts.
-    const double scaled = rng.uniform() * static_cast<double>(prob_.size());
-    std::size_t bucket = static_cast<std::size_t>(scaled);
-    if (bucket >= prob_.size()) bucket = prob_.size() - 1;  // u ~ 1 edge
+    // One uniform split into (bucket, acceptance) parts. Every index is
+    // below 2^63, so signed conversions give the unsigned values without
+    // the compiler's branch on the top bit.
+    const auto n = static_cast<std::int64_t>(buckets_.size());
+    const double scaled = rng.uniform() * static_cast<double>(n);
+    const std::int64_t bucket =
+        std::min(static_cast<std::int64_t>(scaled), n - 1);  // u ~ 1 edge
     const double frac = scaled - static_cast<double>(bucket);
-    return frac < prob_[bucket] ? bucket : alias_[bucket];
+    const Bucket& b = buckets_[static_cast<std::size_t>(bucket)];
+    // All ones keeps the bucket, zero takes its alias.
+    const std::uint64_t keep =
+        std::uint64_t{0} - static_cast<std::uint64_t>(frac < b.prob);
+    return (static_cast<std::uint64_t>(bucket) & keep) | (b.alias & ~keep);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return buckets_.size(); }
 
  private:
-  std::vector<double> prob_;         // acceptance threshold per bucket
-  std::vector<std::size_t> alias_;   // overflow target per bucket
+  struct Bucket {
+    double prob;          // acceptance threshold
+    std::uint64_t alias;  // overflow target
+  };
+  std::vector<Bucket> buckets_;
 };
 
 /// Zipf-like popularity over ranks 1..N: P(rank r) ∝ r^-alpha.
@@ -102,7 +114,9 @@ class Exponential {
  public:
   explicit Exponential(double rate);
 
-  [[nodiscard]] double sample(util::Rng& rng) const;
+  [[nodiscard]] double sample(util::Rng& rng) const {
+    return rng.exponential(rate_);
+  }
   [[nodiscard]] double rate() const noexcept { return rate_; }
   [[nodiscard]] double mean() const noexcept { return 1.0 / rate_; }
 

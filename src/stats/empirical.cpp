@@ -57,8 +57,11 @@ EmpiricalDistribution EmpiricalDistribution::from_histogram(
 
 double EmpiricalDistribution::quantile(double u) const {
   u = std::clamp(u, 0.0, 1.0);
-  const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-  const auto i = static_cast<std::size_t>(it - cum_.begin());
+  // cum_ rises and ends at 1.0 >= u, so its entries below u come first
+  // and their count is lower_bound's index; counting finds it without
+  // the search's unpredictable branches.
+  std::size_t i = 0;
+  for (const double c : cum_) i += c < u;
   const auto& b = bins_[std::min(i, bins_.size() - 1)];
   const double clo = i > 0 ? cum_[i - 1] : 0.0;
   const double chi = cum_[std::min(i, cum_.size() - 1)];

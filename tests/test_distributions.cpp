@@ -2,12 +2,117 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
 namespace sc::stats {
 namespace {
+
+// The alias table as it was built and sampled before its buckets were
+// packed: separate threshold and alias arrays, a scratch copy of the
+// scaled masses, and a branch on the acceptance test.
+class BranchyAliasReference {
+ public:
+  explicit BranchyAliasReference(const std::vector<double>& weights) {
+    const std::size_t n = weights.size();
+    const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+    prob_.assign(n, 1.0);
+    alias_.resize(n);
+    std::vector<double> scaled(n);
+    std::vector<std::size_t> small, large;
+    for (std::size_t i = 0; i < n; ++i) {
+      alias_[i] = i;
+      scaled[i] = weights[i] * static_cast<double>(n) / total;
+      (scaled[i] < 1.0 ? small : large).push_back(i);
+    }
+    while (!small.empty() && !large.empty()) {
+      const std::size_t s = small.back();
+      const std::size_t l = large.back();
+      small.pop_back();
+      prob_[s] = scaled[s];
+      alias_[s] = l;
+      scaled[l] -= 1.0 - scaled[s];
+      if (scaled[l] < 1.0) {
+        large.pop_back();
+        small.push_back(l);
+      }
+    }
+  }
+
+  std::size_t sample(util::Rng& rng) const {
+    const double scaled = rng.uniform() * static_cast<double>(prob_.size());
+    std::size_t bucket = static_cast<std::size_t>(scaled);
+    if (bucket >= prob_.size()) bucket = prob_.size() - 1;
+    const double frac = scaled - static_cast<double>(bucket);
+    return frac < prob_[bucket] ? bucket : alias_[bucket];
+  }
+
+ private:
+  std::vector<double> prob_;
+  std::vector<std::size_t> alias_;
+};
+
+std::vector<double> zipf_reference_weights(std::size_t n, double alpha) {
+  std::vector<double> w(n);
+  for (std::size_t r = 1; r <= n; ++r) {
+    w[r - 1] = std::pow(static_cast<double>(r), -alpha);
+  }
+  return w;
+}
+
+TEST(AliasTable, PicksMatchTheBranchyReference) {
+  const std::vector<std::vector<double>> tables = {
+      zipf_reference_weights(5000, 0.73),
+      std::vector<double>(1000, 1.0),
+      {0.0, 3.0, 0.0, 0.0, 1.5, 0.0, 2.0, 0.25, 0.0},
+      {4.0},
+  };
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    const AliasTable table(tables[t]);
+    const BranchyAliasReference reference(tables[t]);
+    util::Rng rng(1000 + t);
+    util::Rng reference_rng(1000 + t);
+    long mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      mismatches += table.sample(rng) != reference.sample(reference_rng);
+    }
+    EXPECT_EQ(mismatches, 0) << "table " << t;
+  }
+}
+
+TEST(ZipfLike, MatchesTheReferenceAliasAndCdf) {
+  // The alias picks, and a cdf summed from a second pass of the weights,
+  // as the constructor once computed them.
+  const std::size_t n = 5000;
+  const double alpha = 0.73;
+  const ZipfLike zipf(n, alpha);
+  const BranchyAliasReference reference(zipf_reference_weights(n, alpha));
+  std::vector<double> cdf(n);
+  double sum = 0.0;
+  for (std::size_t r = 1; r <= n; ++r) {
+    sum += std::pow(static_cast<double>(r), -alpha);
+    cdf[r - 1] = sum;
+  }
+  for (auto& v : cdf) v /= sum;
+  cdf.back() = 1.0;
+
+  for (std::size_t r = 1; r <= n; ++r) {
+    const double want = cdf[r - 1] - (r >= 2 ? cdf[r - 2] : 0.0);
+    const double got = zipf.pmf(r);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "rank " << r;
+  }
+  util::Rng a(5), b(5), c(6), d(6);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(zipf.sample(a), reference.sample(b) + 1);
+    const double u = d.uniform();
+    const auto rank =
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin() + 1;
+    ASSERT_EQ(zipf.sample_cdf(c), static_cast<std::size_t>(rank));
+  }
+}
 
 TEST(ZipfLike, PmfSumsToOne) {
   const ZipfLike z(100, 0.73);

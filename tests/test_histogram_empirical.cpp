@@ -1,12 +1,93 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "net/bandwidth_model.h"
+#include "net/variability.h"
 #include "stats/empirical.h"
 #include "stats/histogram.h"
 
 namespace sc::stats {
 namespace {
+
+// EmpiricalDistribution::quantile as it was with std::lower_bound, over
+// cumulative weights rebuilt with the constructor's arithmetic.
+class LowerBoundQuantile {
+ public:
+  explicit LowerBoundQuantile(const std::vector<EmpiricalBin>& bins)
+      : bins_(bins) {
+    double total = 0.0;
+    for (const auto& b : bins_) total += b.weight;
+    double acc = 0.0;
+    for (const auto& b : bins_) {
+      acc += b.weight / total;
+      cum_.push_back(acc);
+    }
+    cum_.back() = 1.0;
+  }
+
+  double operator()(double u) const {
+    u = std::clamp(u, 0.0, 1.0);
+    const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
+    const auto i = static_cast<std::size_t>(it - cum_.begin());
+    const auto& b = bins_[std::min(i, bins_.size() - 1)];
+    const double clo = i > 0 ? cum_[i - 1] : 0.0;
+    const double chi = cum_[std::min(i, cum_.size() - 1)];
+    const double frac = chi > clo ? (u - clo) / (chi - clo) : 0.0;
+    return b.lo + frac * (b.hi - b.lo);
+  }
+
+  [[nodiscard]] const std::vector<double>& cum() const { return cum_; }
+
+ private:
+  std::vector<EmpiricalBin> bins_;
+  std::vector<double> cum_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Empirical, QuantileMatchesLowerBoundReference) {
+  // Gaps between the bins make the last point of a bin differ from the
+  // first of the next, so an index off by one at an exact cumulative
+  // weight shows; zero-weight bins repeat a cumulative weight.
+  const std::vector<EmpiricalDistribution> dists = {
+      EmpiricalDistribution({{0.0, 1.0, 2.0},
+                             {1.5, 2.5, 0.0},
+                             {3.0, 4.0, 1.0},
+                             {4.5, 5.0, 0.5},
+                             {6.0, 8.0, 0.0},
+                             {9.0, 10.0, 3.0},
+                             {11.0, 12.0, 0.0}}),
+      net::nlanr_variability_model(),
+      net::nlanr_base_model(),
+  };
+  for (std::size_t d = 0; d < dists.size(); ++d) {
+    const EmpiricalDistribution& dist = dists[d];
+    const LowerBoundQuantile reference(dist.bins());
+    std::vector<double> probes = {0.0, 1.0, -0.5, 1.5};
+    for (const double c : reference.cum()) {
+      probes.push_back(c);
+      probes.push_back(std::nextafter(c, 0.0));
+      probes.push_back(std::nextafter(c, 2.0));
+    }
+    for (const double u : probes) {
+      EXPECT_TRUE(same_bits(dist.quantile(u), reference(u)))
+          << "distribution " << d << ", u " << u;
+    }
+    util::Rng rng(17 + d);
+    long mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      const double u = rng.uniform();
+      mismatches += !same_bits(dist.quantile(u), reference(u));
+    }
+    EXPECT_EQ(mismatches, 0) << "distribution " << d;
+  }
+}
 
 TEST(Histogram, BasicCounting) {
   Histogram h(0.0, 10.0, 10);

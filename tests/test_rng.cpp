@@ -2,10 +2,157 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <random>
 #include <set>
+#include <sstream>
 
 namespace sc::util {
 namespace {
+
+// Bit pattern of a double, so equality also tells -0.0 from 0.0.
+std::uint64_t bits_of(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(Mt19937_64, MatchesStdMt19937_64) {
+  const std::uint64_t seeds[] = {0, 1, 42, std::uint64_t{1} << 63,
+                                 ~std::uint64_t{0},
+                                 Rng(42).fork("paths").seed()};
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 owned(seed);
+    std::mt19937_64 reference(seed);
+    // 1000 words span the state's first fill and three refills.
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(owned(), reference()) << "seed " << seed << ", word " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, CopyTakenMidBufferContinuesIdentically) {
+  Mt19937_64 owned(7);
+  std::mt19937_64 reference(7);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(owned(), reference());
+  Mt19937_64 copy = owned;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t word = reference();
+    ASSERT_EQ(owned(), word) << "word " << i;
+    ASSERT_EQ(copy(), word) << "word " << i;
+  }
+
+  Rng rng(7);
+  for (int i = 0; i < 100; ++i) (void)rng.uniform();
+  Rng rng_copy = rng;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(bits_of(rng.uniform()), bits_of(rng_copy.uniform()));
+  }
+}
+
+#if defined(__GLIBCXX__)
+
+// A bit generator that returns one scripted word, to feed chosen words to
+// std::generate_canonical.
+struct ScriptedBits {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() { return word; }
+};
+
+TEST(Rng, CanonicalFromBitsMatchesGenerateCanonical) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t edges[] = {
+      0,
+      1,
+      std::uint64_t{1} << 53,
+      std::uint64_t{1} << 63,
+      kMax - 2047,  // 2^64 - 2^11: the largest double below 2^64
+      kMax - 1024,  // 2^64 - 1025: rounds down to 2^64 - 2^11
+      kMax - 1023,  // 2^64 - 1024: a tie, rounded to even, i.e. to 2^64
+      kMax,         // 2^64 - 1: rounds to 2^64
+  };
+  for (const std::uint64_t word : edges) {
+    ScriptedBits bits{word};
+    EXPECT_EQ(bits_of(canonical_from_bits(word)),
+              bits_of(std::generate_canonical<double, 53>(bits)))
+        << "word " << word;
+  }
+  // The last two words round to 1 and must hit the clamp; the one before
+  // them reaches the largest double below 1 by rounding alone.
+  const double below_one = std::nextafter(1.0, 0.0);
+  EXPECT_EQ(static_cast<double>(kMax - 1024) * 0x1p-64, below_one);
+  EXPECT_EQ(static_cast<double>(kMax - 1023) * 0x1p-64, 1.0);
+  EXPECT_EQ(static_cast<double>(kMax) * 0x1p-64, 1.0);
+  EXPECT_EQ(canonical_from_bits(kMax - 1023), below_one);
+  EXPECT_EQ(canonical_from_bits(kMax), below_one);
+
+  Mt19937_64 words(99);
+  for (int i = 0; i < 1000000; ++i) {
+    ScriptedBits bits{words()};
+    ASSERT_EQ(bits_of(canonical_from_bits(bits.word)),
+              bits_of(std::generate_canonical<double, 53>(bits)))
+        << "word " << bits.word;
+  }
+}
+
+TEST(Rng, DrawsMatchLibstdcxxDistributions) {
+  // 10^7 draws over five seeds, the draws interleaved so each starts at
+  // varied positions of the engine's buffer, with varied parameters.
+  // uniform_int is libstdc++'s own code, run over the owned engine.
+  constexpr int kDrawsPerSeed = 2000000;
+  const std::uint64_t seeds[] = {1, 7, 42, std::uint64_t{1} << 63,
+                                 ~std::uint64_t{0}};
+  for (const std::uint64_t seed : seeds) {
+    Rng owned(seed);
+    std::mt19937_64 reference(seed);
+    long mismatches = 0;
+    std::ostringstream first;
+    for (int i = 0; i < kDrawsPerSeed; ++i) {
+      const double p = 0.25 + (i % 13);
+      double got = 0.0;
+      double want = 0.0;
+      switch (splitmix64(static_cast<std::uint64_t>(i)) % 6) {
+        case 0:
+          got = owned.uniform();
+          want = std::uniform_real_distribution<double>(0.0, 1.0)(reference);
+          break;
+        case 1:
+          got = owned.uniform(-p, 3 * p);
+          want = std::uniform_real_distribution<double>(-p, 3 * p)(reference);
+          break;
+        case 2:
+          got = owned.exponential(p);
+          want = std::exponential_distribution<double>(p)(reference);
+          break;
+        case 3:
+          got = owned.normal(p, 0.5 * p);
+          want = std::normal_distribution<double>(p, 0.5 * p)(reference);
+          break;
+        case 4: {
+          const std::int64_t hi = 1000 + i % 7;
+          got = static_cast<double>(owned.uniform_int(-5, hi));
+          want = static_cast<double>(
+              std::uniform_int_distribution<std::int64_t>(-5, hi)(reference));
+          break;
+        }
+        default:
+          got = owned.lognormal(3.85 - p, 0.56);
+          want = std::lognormal_distribution<double>(3.85 - p, 0.56)(reference);
+          break;
+      }
+      if (bits_of(got) != bits_of(want) && mismatches++ == 0) {
+        first << "draw " << i << ": " << got << " != " << want;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "seed " << seed << ", first at " << first.str();
+  }
+}
+
+#endif  // __GLIBCXX__: the reference is libstdc++'s distribution code
 
 TEST(Rng, SameSeedSameSequence) {
   Rng a(123), b(123);
