@@ -24,13 +24,12 @@ void Mt19937_64::refill() noexcept {
 }
 
 double Rng::polar() {
-  double x, y, r2;
-  do {
-    x = 2.0 * uniform() - 1.0;
-    y = 2.0 * uniform() - 1.0;
-    r2 = x * x + y * y;
-  } while (r2 > 1.0 || r2 == 0.0);
-  return y * std::sqrt(-2 * std::log(r2) / r2);
+  for (;;) {
+    const double x = 2.0 * uniform() - 1.0;
+    const double y = 2.0 * uniform() - 1.0;
+    const double r2 = x * x + y * y;
+    if (r2 <= 1.0 && r2 != 0.0) return y * std::sqrt(-2 * std::log(r2) / r2);
+  }
 }
 
 std::uint64_t fnv1a64(std::string_view s) noexcept {
