@@ -13,8 +13,9 @@
 //   E. Segment granularity: internal fragmentation of segment-quantized
 //      prefix storage vs the byte-granular store (§2.7's "prefixes or
 //      fine-grain segments" maintenance question).
-//   F. Patching + partial viewing extensions: how stream sharing and
-//      early session termination change the backbone byte accounting.
+//   F. Patching + early departure: how stream sharing and the
+//      "empirical" session-length model change the backbone byte
+//      accounting and the startup delay over the viewed prefix.
 
 #include "bench/harness.h"
 #include "cache/segments.h"
@@ -158,7 +159,7 @@ void study_segments(const bench::FigureConfig& cfg) {
 }
 
 void study_extensions(const bench::FigureConfig& cfg) {
-  std::printf("\n-- F. Patching and partial viewing (PB, constant "
+  std::printf("\n-- F. Patching and early departure (PB, constant "
               "bandwidth, cache = 8%%, 2 req/s arrivals) --\n");
   const auto scenario = bench::scenario_for(cfg, "constant");
   util::Table table({"configuration", "cache-served share",
@@ -178,13 +179,15 @@ void study_extensions(const bench::FigureConfig& cfg) {
     scfg.estimator = cfg.estimator;
     scfg.path_config.mode = scenario.mode;
     scfg.patching.enabled = (mode & 1) != 0;
-    scfg.viewing.enabled = (mode & 2) != 0;
+    if ((mode & 2) != 0) {
+      scfg.interactivity = sim::InteractivityConfig::parse("empirical");
+    }
     sim::Simulator simulator(w, scenario.base, scenario.ratio, scfg);
     const auto r = simulator.run();
     std::string name = "baseline";
     if (mode == 1) name = "+ patching";
-    if (mode == 2) name = "+ partial viewing";
-    if (mode == 3) name = "+ patching + viewing";
+    if (mode == 2) name = "+ early departure";
+    if (mode == 3) name = "+ patching + early departure";
     table.add_row(
         {name, util::Table::num(r.metrics.traffic_reduction_ratio(), 4),
          util::Table::num(r.metrics.backbone_reduction_ratio(), 4),
@@ -193,7 +196,8 @@ void study_extensions(const bench::FigureConfig& cfg) {
   table.print();
   std::printf("(patching shares in-flight streams across concurrent "
               "requests; caching and patching compose, as the paper's "
-              "future-work section anticipates)\n");
+              "future-work section anticipates; early departure "
+              "re-derives delay over the viewed prefix)\n");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //   ./run_experiment --policy=hybrid:e=0.5 --scenario=measured
 //                    --estimator=ewma:alpha=0.3 --cache-frac=0.08
 //                    [--objects N] [--requests N] [--runs N] [--zipf A]
-//                    [--patching] [--viewing] [--csv out.csv]
+//                    [--patching] [--interactivity=SPEC] [--csv out.csv]
 //
 // --help lists every registered policy / estimator / scenario spec.
 

@@ -78,11 +78,6 @@ ExperimentBuilder& ExperimentBuilder::warmup_fraction(double fraction) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::viewing(bool on) {
-  config_.sim.viewing.enabled = on;
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::patching(bool on) {
   config_.sim.patching.enabled = on;
   return *this;
@@ -150,7 +145,6 @@ ExperimentBuilder& ExperimentBuilder::from_cli(const util::Cli& cli) {
     (void)require_value(cli, "warmup");
     warmup_fraction(cli.get_or("warmup", 0.5));
   }
-  if (cli.has("viewing")) viewing(cli.get_or("viewing", false));
   if (cli.has("patching")) patching(cli.get_or("patching", false));
   if (cli.has("interactivity")) {
     interactivity(require_value(cli, "interactivity"));
@@ -166,8 +160,8 @@ ExperimentBuilder& ExperimentBuilder::from_cli(const util::Cli& cli) {
 std::vector<std::string> ExperimentBuilder::cli_flags() {
   return {"policy",  "estimator", "scenario",   "objects", "requests",
           "zipf",    "runs",      "seed",       "parallel", "threads",
-          "warmup",  "viewing",   "patching",   "interactivity",
-          "fault",   "cache-frac"};
+          "warmup",  "patching",  "interactivity", "fault",
+          "cache-frac"};
 }
 
 std::string ExperimentBuilder::cli_help() {
@@ -179,7 +173,7 @@ std::string ExperimentBuilder::cli_help() {
       "  --cache-frac=F       cache size as fraction of corpus\n"
       "  --objects=N --requests=N --runs=N --zipf=A --seed=S\n"
       "                       counts accept 250k / 100M / 2G / 1e8 forms\n"
-      "  --warmup=F --parallel=0|1 --threads=N --viewing --patching\n"
+      "  --warmup=F --parallel=0|1 --threads=N --patching\n"
       "  --interactivity=<spec>  session dynamics: full | exp:mean=S |\n"
       "                       empirical | trace (default full)\n"
       "  --fault=<spec>       deterministic fault plan, e.g.\n"

@@ -49,7 +49,6 @@ class ExperimentBuilder {
   /// serial). Results are identical for every value; see core/sweep.h.
   ExperimentBuilder& threads(std::size_t n);
   ExperimentBuilder& warmup_fraction(double fraction);
-  ExperimentBuilder& viewing(bool on);
   ExperimentBuilder& patching(bool on);
   /// Client session dynamics spec ("full", "exp:mean=1800", "empirical",
   /// "trace"; validated immediately — see sim/interactivity.h).

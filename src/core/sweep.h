@@ -84,8 +84,8 @@ struct SweepStats {
 class SweepRunner {
  public:
   /// `base` supplies the workload shape, simulation config (estimator,
-  /// warmup, viewing/patching), replication count, base seed, and the
-  /// parallel/threads execution knobs shared by every cell.
+  /// warmup, interactivity/patching), replication count, base seed, and
+  /// the parallel/threads execution knobs shared by every cell.
   SweepRunner(ExperimentConfig base, Scenario scenario);
 
   /// Evaluate every cell; result[i] corresponds to cells[i]. Workloads

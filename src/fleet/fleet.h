@@ -205,7 +205,7 @@ struct FleetRun {
 
 /// Run one fleet cell over `stream`. `config` supplies the per-proxy
 /// component specs, the *aggregate* cache budget
-/// (cache_capacity_bytes / proxies per proxy), interactivity/viewing/
+/// (cache_capacity_bytes / proxies per proxy), interactivity and
 /// patching extensions, the fault plan, and the run seed. `path_model`
 /// may be null, in which case the model is drawn from the seed exactly
 /// as sim::Simulator does (`base`/`ratio` must then be non-null).

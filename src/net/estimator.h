@@ -18,12 +18,11 @@
 //                      return exactly this type; the dispatch recognizes
 //                      it, keeps the estimator and rebinds its kernel
 //                      between simulations instead of rebuilding it. The
-//                      familiar class names (OracleEstimator,
+//                      familiar names (OracleEstimator,
 //                      PassiveEwmaEstimator, LastSampleEstimator,
-//                      ActiveProbeEstimator) are final subclasses with
-//                      their historical constructor signatures, for direct
-//                      construction; being other types, they run on the
-//                      virtual engine.
+//                      ActiveProbeEstimator) are aliases of it, and its
+//                      forwarding constructor takes each kernel's
+//                      constructor arguments.
 //
 // Schemes:
 //   OracleEstimator      - returns the true long-run mean (the paper's
@@ -292,7 +291,7 @@ class ProbeKernel {
 // Virtual boundary adapters.
 
 /// Implements the BandwidthEstimator interface over a kernel. Holding a
-/// concrete adapter (the final classes below) devirtualizes every call;
+/// concrete adapter (the aliases below) devirtualizes every call;
 /// the monomorphized engine bypasses the adapter entirely and talks to
 /// kernel() directly.
 template <typename Kernel>
@@ -336,36 +335,11 @@ class KernelEstimator : public BandwidthEstimator {
   Kernel kernel_;
 };
 
-class OracleEstimator final : public KernelEstimator<OracleKernel> {
- public:
-  explicit OracleEstimator(const PathModel& paths) : KernelEstimator(paths) {}
-};
-
-class PassiveEwmaEstimator final : public KernelEstimator<EwmaKernel> {
- public:
-  PassiveEwmaEstimator(std::size_t n_paths, double alpha, double prior)
-      : KernelEstimator(n_paths, alpha, prior) {}
-  [[nodiscard]] std::size_t observed_paths() const noexcept {
-    return kernel().observed_paths();
-  }
-};
-
-class LastSampleEstimator final : public KernelEstimator<LastSampleKernel> {
- public:
-  LastSampleEstimator(std::size_t n_paths, double prior)
-      : KernelEstimator(n_paths, prior) {}
-};
-
-class ActiveProbeEstimator final : public KernelEstimator<ProbeKernel> {
- public:
-  ActiveProbeEstimator(const ProbeModel& model, double reprobe_interval_s,
-                       util::Rng rng)
-      : KernelEstimator(model, reprobe_interval_s, std::move(rng)) {}
-  /// Owning variant: keeps `model` alive for the estimator's lifetime.
-  ActiveProbeEstimator(std::unique_ptr<ProbeModel> model,
-                       double reprobe_interval_s, util::Rng rng)
-      : KernelEstimator(std::move(model), reprobe_interval_s,
-                        std::move(rng)) {}
-};
+// The familiar names, for direct construction: each is the registry's
+// exact adapter type, so it runs on the kernel engine.
+using OracleEstimator = KernelEstimator<OracleKernel>;
+using PassiveEwmaEstimator = KernelEstimator<EwmaKernel>;
+using LastSampleEstimator = KernelEstimator<LastSampleKernel>;
+using ActiveProbeEstimator = KernelEstimator<ProbeKernel>;
 
 }  // namespace sc::net

@@ -3,8 +3,8 @@
 //
 // There is exactly one implementation of the trace-driven request loop
 // (§3 methodology: warmup half, measured half, deferred completion
-// observations, viewing/patching extensions), and one pass of it drives
-// N >= 1 proxies:
+// observations, session dynamics and patching), and one pass of it
+// drives N >= 1 proxies:
 //
 //   - the single cell (no fleet argument): one proxy, faults compiled
 //     for the standalone net::FaultScope{}, no per-proxy stats — the
@@ -240,17 +240,10 @@ template <typename Policy, typename Estimator>
   const auto warm_count = static_cast<std::size_t>(
       static_cast<double>(total_requests) * config.warmup_fraction);
 
-  util::Rng viewing_rng = rng.fork("viewing");
   // Session dynamics draw from their own tag-keyed stream so enabling
-  // them never perturbs the viewing/path/estimator streams (and "full"
-  // mode draws nothing at all, keeping it a field-identical oracle).
+  // them never perturbs the path/estimator streams (and "full" mode
+  // draws nothing at all, keeping it a field-identical oracle).
   const bool interactive = config.interactivity.enabled();
-  if (interactive && config.viewing.enabled) {
-    throw std::invalid_argument(
-        "run_request_loop: ViewingConfig and a non-full interactivity "
-        "model are both session-length models and cannot be combined; "
-        "use --interactivity alone (it supersedes --viewing)");
-  }
   util::Rng session_rng = rng.fork("session");
 
   // Per-object §2.2 products, premultiplied once per run in the
@@ -349,28 +342,6 @@ template <typename Policy, typename Estimator>
                                          std::min(cached_before, viewed_bytes));
           }
         }
-      }
-
-      // Client interactivity: scale the byte accounting (not the startup
-      // metrics) by the viewed fraction of the stream.
-      if (config.viewing.enabled) {
-        double fraction = 1.0;
-        if (viewing_rng.uniform() >= config.viewing.complete_probability) {
-          fraction = viewing_rng.uniform(config.viewing.min_fraction, 1.0);
-        }
-        const double viewed = fraction * size_bytes;
-        request_bytes = viewed;
-        outcome.bytes_from_cache = std::min(outcome.bytes_from_cache, viewed);
-        // During a full outage the deficit beyond the cached prefix is
-        // denied, not fetched (fault_scale == 1 whenever faults are off,
-        // so the inert path is the historical expression).
-        outcome.bytes_from_origin =
-            fault_scale > 0.0
-                ? std::max(0.0, viewed - outcome.bytes_from_cache)
-                : 0.0;
-        outcome.origin_transfer_s = outcome.bytes_from_origin > 0
-                                        ? outcome.bytes_from_origin / bw
-                                        : 0.0;
       }
 
       // Cooperation: the largest peer prefix extends this proxy's own —

@@ -74,11 +74,6 @@ Simulator::Simulator(workload::RequestStream stream,
   if (config_.stream_chunk == 0) {
     throw std::invalid_argument("Simulator: stream_chunk must be >= 1");
   }
-  if (config_.viewing.enabled && config_.interactivity.enabled()) {
-    throw std::invalid_argument(
-        "Simulator: ViewingConfig and a non-full interactivity model "
-        "cannot be combined; use the interactivity spec alone");
-  }
   if (path_model_ != nullptr &&
       path_model_->size() != stream_.catalog().size()) {
     throw std::invalid_argument(

@@ -20,18 +20,6 @@
 
 namespace sc::sim {
 
-/// Client interactivity (extension; the paper's §5 cites measurement
-/// studies showing most sessions terminate early). When enabled, each
-/// request watches the whole stream with `complete_probability`,
-/// otherwise a Uniform[min_fraction, 1) fraction of it. Startup metrics
-/// (delay / quality / added value) are unaffected; byte accounting
-/// (traffic reduction, transfer durations) scales with the viewed part.
-struct ViewingConfig {
-  bool enabled = false;
-  double complete_probability = 0.6;
-  double min_fraction = 0.05;
-};
-
 /// Proxy-side stream sharing (the paper's future-work "patching and
 /// batching techniques at caching proxies"). While an origin stream of an
 /// object is in flight (paced at the playout rate over the object's
@@ -57,7 +45,6 @@ struct SimulationConfig {
   /// knobs (EWMA alpha, probe interval, priors) are spec parameters.
   std::string estimator = "oracle";
 
-  ViewingConfig viewing{};
   PatchingConfig patching{};
 
   /// Client session dynamics: per-request viewing duration model (see

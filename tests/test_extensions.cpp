@@ -1,5 +1,5 @@
-// Tests for the simulator extensions: client interactivity (partial
-// viewing) and proxy-side patching (stream sharing).
+// Tests for the proxy-side patching extension (stream sharing). Client
+// session dynamics are tested in test_interactivity.cpp.
 
 #include <gtest/gtest.h>
 
@@ -27,60 +27,6 @@ SimulationConfig pb_config(double capacity) {
   cfg.policy = "pb";
   cfg.seed = 5;
   return cfg;
-}
-
-TEST(Viewing, PartialViewingReducesDeliveredBytes) {
-  const auto w = make_workload(200, 10000, 1);
-  const auto base = net::nlanr_base_model();
-  const auto ratio = net::constant_variability_model();
-
-  auto full = pb_config(1e10);
-  auto partial = pb_config(1e10);
-  partial.viewing.enabled = true;
-  partial.viewing.complete_probability = 0.3;
-
-  const auto rf = Simulator(w, base, ratio, full).run();
-  const auto rp = Simulator(w, base, ratio, partial).run();
-  const double full_bytes =
-      rf.metrics.bytes_from_cache() + rf.metrics.bytes_from_origin();
-  const double partial_bytes =
-      rp.metrics.bytes_from_cache() + rp.metrics.bytes_from_origin();
-  EXPECT_LT(partial_bytes, full_bytes * 0.85);
-  // Startup metrics are not affected by how much gets watched.
-  EXPECT_DOUBLE_EQ(rf.metrics.average_delay_s(),
-                   rp.metrics.average_delay_s());
-  EXPECT_DOUBLE_EQ(rf.metrics.average_quality(),
-                   rp.metrics.average_quality());
-}
-
-TEST(Viewing, CompleteProbabilityOneMatchesBaseline) {
-  const auto w = make_workload(100, 5000, 2);
-  const auto base = net::nlanr_base_model();
-  const auto ratio = net::constant_variability_model();
-  auto on = pb_config(1e10);
-  on.viewing.enabled = true;
-  on.viewing.complete_probability = 1.0;
-  const auto r_on = Simulator(w, base, ratio, on).run();
-  const auto r_off = Simulator(w, base, ratio, pb_config(1e10)).run();
-  EXPECT_DOUBLE_EQ(r_on.metrics.bytes_from_origin(),
-                   r_off.metrics.bytes_from_origin());
-  EXPECT_DOUBLE_EQ(r_on.metrics.bytes_from_cache(),
-                   r_off.metrics.bytes_from_cache());
-}
-
-TEST(Viewing, ViewingBoostsTrafficReductionForPrefixCaches) {
-  // Prefix caching stores exactly the bytes early viewers watch, so the
-  // cache-served *share* rises when sessions terminate early.
-  const auto w = make_workload(300, 15000, 3);
-  const auto base = net::nlanr_base_model();
-  const auto ratio = net::constant_variability_model();
-  auto partial = pb_config(3e10);
-  partial.viewing.enabled = true;
-  partial.viewing.complete_probability = 0.2;
-  const auto rp = Simulator(w, base, ratio, partial).run();
-  const auto rf = Simulator(w, base, ratio, pb_config(3e10)).run();
-  EXPECT_GT(rp.metrics.traffic_reduction_ratio(),
-            rf.metrics.traffic_reduction_ratio());
 }
 
 TEST(Patching, SharesConcurrentStreams) {

@@ -56,15 +56,13 @@ workload::Workload make_workload(std::size_t requests) {
 
 std::uint64_t allocations_for_run(
     const workload::Workload& w, const std::string& policy,
-    const std::string& estimator, bool patching = false, bool viewing = false,
+    const std::string& estimator,
     const core::Scenario& scenario = core::constant_scenario()) {
   SimulationConfig cfg;
   cfg.cache_capacity_bytes =
       core::capacity_for_fraction(workload::CatalogConfig{}, 0.001);
   cfg.policy = policy;
   cfg.estimator = estimator;
-  cfg.patching.enabled = patching;
-  cfg.viewing.enabled = viewing;
   cfg.path_config.mode = scenario.mode;
   Simulator simulator(w, scenario.base, scenario.ratio, cfg);
   const std::uint64_t before = g_news.load();
@@ -87,23 +85,6 @@ TEST(HotPathAllocations, DoNotScaleWithTraceLength) {
         << policy << ": " << a_short << " allocs at 5k requests vs "
         << a_long << " at 20k";
   }
-}
-
-TEST(HotPathAllocations, PatchingAndViewingScenariosAreAllocationFreeToo) {
-  // The patching in-flight table is a dense per-object vector (sized by
-  // the catalog, filled before the loop) and viewing only draws from a
-  // pre-forked RNG, so enabling both must not reintroduce per-request
-  // allocation (the old per-request std::unordered_map did).
-  const auto short_trace = make_workload(5000);
-  const auto long_trace = make_workload(20000);
-  (void)allocations_for_run(short_trace, "pb", "oracle", /*patching=*/true,
-                            /*viewing=*/true);
-  const auto a_short = allocations_for_run(short_trace, "pb", "oracle", true,
-                                           true);
-  const auto a_long = allocations_for_run(long_trace, "pb", "oracle", true,
-                                          true);
-  EXPECT_LE(a_long, a_short + 64)
-      << a_short << " allocs at 5k requests vs " << a_long << " at 20k";
 }
 
 TEST(HotPathAllocations, SweepAllocationsDoNotScaleWithCellCount) {
@@ -198,8 +179,9 @@ TEST(HotPathAllocations, TraceReplayLoadsOncePerGridNotPerCell) {
 
 TEST(HotPathAllocations, SessionDynamicsAreAllocationFreeToo) {
   // The interactivity draw is a pre-forked RNG stream plus constexpr
-  // inverse-CDF math: enabling it must not reintroduce per-request
-  // allocation.
+  // inverse-CDF math, and the patching in-flight table is a dense
+  // per-object vector filled before the loop: enabling both must not
+  // reintroduce per-request allocation.
   const auto short_trace = make_workload(5000);
   const auto long_trace = make_workload(20000);
   const auto base = core::constant_scenario().base;
@@ -273,12 +255,11 @@ TEST(HotPathAllocations, PassiveEstimatorPathIsAllocationFreeToo) {
        {Case{"ewma:alpha=0.3", core::constant_scenario()},
         Case{"last", core::constant_scenario()},
         Case{"ewma:alpha=0.3", core::nlanr_variability_scenario()}}) {
-    (void)allocations_for_run(short_trace, "pb", c.estimator, false, false,
-                              c.scenario);
-    const auto a_short = allocations_for_run(short_trace, "pb", c.estimator,
-                                             false, false, c.scenario);
-    const auto a_long = allocations_for_run(long_trace, "pb", c.estimator,
-                                            false, false, c.scenario);
+    (void)allocations_for_run(short_trace, "pb", c.estimator, c.scenario);
+    const auto a_short =
+        allocations_for_run(short_trace, "pb", c.estimator, c.scenario);
+    const auto a_long =
+        allocations_for_run(long_trace, "pb", c.estimator, c.scenario);
     EXPECT_LE(a_long, a_short + 64)
         << c.estimator << " under " << c.scenario.name << ": " << a_short
         << " allocs at 5k requests vs " << a_long << " at 20k";

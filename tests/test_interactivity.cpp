@@ -125,10 +125,9 @@ core::ExperimentConfig tiny_config() {
 TEST(SessionDynamics, FullModeIsFieldIdenticalToDefaultConfig) {
   // The oracle contract: an explicit "full" interactivity config must be
   // indistinguishable from a config that never mentions interactivity,
-  // under bandwidth variability, viewing, and patching.
+  // under bandwidth variability and patching.
   const auto scenario = core::measured_variability_scenario();
   core::ExperimentConfig a = tiny_config();
-  a.sim.viewing.enabled = true;
   a.sim.patching.enabled = true;
   core::ExperimentConfig b = a;
   b.sim.interactivity = sim::InteractivityConfig::parse("full");
@@ -228,24 +227,25 @@ TEST(SessionDynamics, PatchingSharesOnlyTheTruncatedStream) {
   EXPECT_LT(truncated.metrics.bytes_shared(), full.metrics.bytes_shared());
 }
 
-TEST(SessionDynamics, RejectsCombiningLegacyViewingWithInteractivity) {
-  // Both are session-length models; composing them would double-count
-  // (the legacy block rescales from the full object size). "full"
-  // interactivity + viewing stays allowed — that is the pre-PR setup.
+TEST(SessionDynamics, EarlyDepartureBoostsTrafficReductionForPrefixCaches) {
+  // Prefix caching stores exactly the bytes early leavers watch, so the
+  // cache-served *share* rises when sessions terminate early.
   workload::WorkloadConfig wcfg;
-  wcfg.catalog.num_objects = 20;
-  wcfg.trace.num_requests = 200;
-  util::Rng rng(8);
+  wcfg.catalog.num_objects = 300;
+  wcfg.trace.num_requests = 15000;
+  util::Rng rng(3);
   const auto w = workload::generate_workload(wcfg, rng);
   const auto scenario = core::constant_scenario();
-  SimulationConfig cfg;
-  cfg.cache_capacity_bytes = 1e9;
-  cfg.viewing.enabled = true;
-  cfg.interactivity = InteractivityConfig::parse("empirical");
-  EXPECT_THROW(Simulator(w, scenario.base, scenario.ratio, cfg),
-               std::invalid_argument);
-  cfg.interactivity = InteractivityConfig::parse("full");
-  EXPECT_NO_THROW(Simulator(w, scenario.base, scenario.ratio, cfg));
+  const auto run = [&](const std::string& interactivity) {
+    SimulationConfig cfg;
+    cfg.cache_capacity_bytes = 3e10;
+    cfg.policy = "pb";
+    cfg.seed = 5;
+    cfg.interactivity = InteractivityConfig::parse(interactivity);
+    return Simulator(w, scenario.base, scenario.ratio, cfg).run();
+  };
+  EXPECT_GT(run("empirical").metrics.traffic_reduction_ratio(),
+            run("full").metrics.traffic_reduction_ratio());
 }
 
 TEST(SessionDynamics, BuilderAndRegistryWireTheSpec) {

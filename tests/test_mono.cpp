@@ -255,20 +255,6 @@ TEST(EngineDispatch, KernelAndVirtualFieldIdenticalForEveryRegisteredPair) {
   }
 }
 
-TEST(EngineDispatch, ExtensionsRunIdenticallyOnBothEngines) {
-  // Viewing + patching change the loop's byte accounting; both engines
-  // must agree there too.
-  const auto scenario = core::constant_scenario();
-  core::ExperimentConfig cfg = small_config();
-  cfg.sim.policy = "pb";
-  cfg.sim.viewing.enabled = true;
-  cfg.sim.patching.enabled = true;
-
-  const auto kernel = core::run_experiment(cfg, scenario);
-  const auto virt = core::run_experiment(virtual_twin(cfg), scenario);
-  expect_bit_identical(kernel, virt, "pb + viewing + patching");
-}
-
 TEST(EngineDispatch, EveryInteractivityModeRunsIdenticallyOnBothEngines) {
   // Session dynamics draw inside the shared loop body; the engines must
   // agree for every mode, with and without patching, and across the
@@ -622,17 +608,23 @@ TEST(EngineDispatch, UserRegisteredSpecsOfBuiltinTypesRunOnKernelsAndMatch) {
   expect_bit_identical(custom, builtin, "test-mono-pb vs pb");
 }
 
+/// A subclass of a kernel adapter: it overrides nothing, but it is
+/// another type than the one the registry builds.
+class NamedEwmaEstimator final : public net::KernelEstimator<net::EwmaKernel> {
+ public:
+  using KernelEstimator::KernelEstimator;
+};
+
 TEST(EngineDispatch, AdapterSubclassesRunOnTheVirtualEngineAndMatch) {
-  // Types match exactly: a subclass of a kernel adapter (here the named
-  // PassiveEwmaEstimator over EwmaKernel) could override a virtual the
-  // kernel engine bypasses, so it takes the virtual engine — and still
-  // matches the built-in "ewma".
+  // Types match exactly: a subclass of a kernel adapter could override a
+  // virtual the kernel engine bypasses, so it takes the virtual engine —
+  // and still matches the built-in "ewma".
   static const core::registry::EstimatorRegistrar registrar(
       {"test-mono-named-ewma", {}, "test-only named EWMA (virtual engine)",
        {}},
       [](const util::Spec&, core::registry::EstimatorContext& ctx) {
-        return std::make_unique<net::PassiveEwmaEstimator>(
-            ctx.paths.size(), 0.3, net::from_kb(50.0));
+        return std::make_unique<NamedEwmaEstimator>(ctx.paths.size(), 0.3,
+                                                    net::from_kb(50.0));
       });
   (void)registrar;
 

@@ -98,7 +98,7 @@ TEST(PassiveEwma, ConvergesToObservedMean) {
   for (int i = 0; i < 200; ++i) est.observe(0, 80e3, i);
   EXPECT_NEAR(est.estimate(0, 200.0), 80e3, 1.0);
   EXPECT_DOUBLE_EQ(est.estimate(1, 0.0), 50e3);  // untouched path: prior
-  EXPECT_EQ(est.observed_paths(), 1u);
+  EXPECT_EQ(est.kernel().observed_paths(), 1u);
 }
 
 TEST(PassiveEwma, WeighsRecentSamplesMore) {

@@ -4,7 +4,6 @@
 
 #include "util/cli.h"
 #include "util/csv.h"
-#include "util/log.h"
 #include "util/spec.h"
 #include "util/table.h"
 
@@ -267,18 +266,6 @@ TEST(AsciiChart, DegenerateInputs) {
   EXPECT_FALSE(ascii_chart({flat}).empty());
   Series empty{"empty", {}, {}};
   EXPECT_TRUE(ascii_chart({empty}).empty());
-}
-
-TEST(Log, LevelFiltering) {
-  const auto before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // These must be cheap no-ops; mainly checks the macros compile + run.
-  SC_DEBUG << "invisible " << 42;
-  SC_INFO << "invisible";
-  set_log_level(LogLevel::kOff);
-  SC_ERROR << "also invisible";
-  set_log_level(before);
 }
 
 }  // namespace
