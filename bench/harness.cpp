@@ -243,10 +243,7 @@ std::vector<core::AveragedMetrics> run_cells(
   // --requests/--objects; report the replayed values so requests/sec
   // and the record's metadata stay honest.
   SweepTelemetry t;
-  if (scenario.replay != nullptr) {
-    t.requests_per_run = scenario.replay->requests.size();
-    t.objects = scenario.replay->catalog.size();
-  } else if (scenario.stream != nullptr) {
+  if (scenario.stream != nullptr) {
     t.requests_per_run = scenario.stream->num_requests();
     t.objects = scenario.stream->catalog().size();
   } else {

@@ -187,7 +187,7 @@ int run_main(int argc, char** argv) {
         recovered ? "log-recovered" : "ground-truth",
         recovered ? recovered_base : truth_base,
         recovered ? recovered_ratio : truth_ratio,
-        net::VariationMode::kIidRatio, nullptr, nullptr};
+        net::VariationMode::kIidRatio, nullptr};
     core::ExperimentConfig e;
     e.workload.catalog.num_objects = 1500;
     e.workload.trace.num_requests = 30000;

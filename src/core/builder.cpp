@@ -188,10 +188,7 @@ ExperimentConfig ExperimentBuilder::config() const {
     // Under trace replay the catalog is known exactly; elsewhere keep
     // the paper's expected-corpus convention (matching SweepRunner).
     const Scenario& scenario = build_scenario_ref();
-    if (scenario.replay != nullptr) {
-      resolved.sim.cache_capacity_bytes =
-          *cache_fraction_ * scenario.replay->catalog.total_bytes();
-    } else if (scenario.stream != nullptr) {
+    if (scenario.stream != nullptr) {
       resolved.sim.cache_capacity_bytes =
           *cache_fraction_ * scenario.stream->catalog().total_bytes();
     } else {

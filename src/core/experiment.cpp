@@ -10,25 +10,25 @@ namespace sc::core {
 Scenario constant_scenario() {
   return Scenario{"constant", net::nlanr_base_model(),
                   net::constant_variability_model(),
-                  net::VariationMode::kConstant, nullptr, nullptr};
+                  net::VariationMode::kConstant, nullptr};
 }
 
 Scenario nlanr_variability_scenario() {
   return Scenario{"nlanr-variability", net::nlanr_base_model(),
                   net::nlanr_variability_model(),
-                  net::VariationMode::kIidRatio, nullptr, nullptr};
+                  net::VariationMode::kIidRatio, nullptr};
 }
 
 Scenario measured_variability_scenario() {
   return Scenario{"measured-variability", net::nlanr_base_model(),
                   net::measured_variability_model(),
-                  net::VariationMode::kIidRatio, nullptr, nullptr};
+                  net::VariationMode::kIidRatio, nullptr};
 }
 
 Scenario timeseries_scenario(net::MeasuredPath path) {
   return Scenario{"timeseries-" + net::to_string(path),
                   net::nlanr_base_model(), net::measured_path_model(path),
-                  net::VariationMode::kTimeSeries, nullptr, nullptr};
+                  net::VariationMode::kTimeSeries, nullptr};
 }
 
 AveragedMetrics run_experiment(const ExperimentConfig& config,

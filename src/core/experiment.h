@@ -16,26 +16,25 @@
 namespace sc::core {
 
 /// A bandwidth environment (base model + ratio model + variation mode),
-/// optionally replaying a recorded workload instead of the synthetic
-/// generator.
+/// optionally replaying a recorded request trace instead of the
+/// synthetic generator.
 struct Scenario {
   std::string name;
   stats::EmpiricalDistribution base;
   stats::EmpiricalDistribution ratio;
   net::VariationMode mode = net::VariationMode::kConstant;
-  /// Trace replay ("trace:file=PATH" scenarios): when non-null, every
-  /// sweep cell and replication replays this immutable workload instead
-  /// of generating one — the file is loaded once per registry::
-  /// make_scenario call and shared across the whole grid, so workload
-  /// shape knobs (objects/requests/zipf alpha) are ignored and
-  /// replications differ only in their bandwidth draws. Cache fractions
-  /// resolve against the replayed catalog's actual total size.
-  std::shared_ptr<const workload::Workload> replay;
-  /// Streaming replay ("trace:file=PATH,stream=1"): like `replay`, but
-  /// only the catalog stays resident; request records re-stream from
-  /// disk chunk-wise inside each simulation (O(chunk) memory for
-  /// multi-GB traces). At most one of `replay`/`stream` is set; results
-  /// are field-identical between the two.
+  /// Trace replay ("trace:file=PATH" scenarios), the one trace field:
+  /// when non-null, every sweep cell and replication replays this
+  /// immutable stream instead of generating a workload. The file is
+  /// read once per registry::make_scenario call and shared across the
+  /// whole grid, so workload shape knobs (objects/requests/zipf alpha)
+  /// are ignored and replications differ only in their bandwidth
+  /// draws. Cache fractions resolve against the replayed catalog's
+  /// actual total size. A trace declaring up to
+  /// workload::kAutoStreamThreshold requests is held in memory; a
+  /// longer one keeps only its catalog resident and re-streams the
+  /// request records from disk chunk-wise inside each simulation.
+  /// Results are field-identical either way.
   std::shared_ptr<const workload::RequestStream> stream;
 };
 
@@ -85,8 +84,8 @@ struct ExperimentConfig {
   /// (util::ThreadPool::default_threads()), 1 = inline serial, else a
   /// dedicated pool of that size.
   std::size_t threads = 0;
-  /// How per-(alpha, run) workloads reach the simulations: materialized
-  /// request vectors (O(num_requests) memory each) or regenerating
+  /// How per-(alpha, run) workloads reach the simulations: request
+  /// columns held in memory (24 bytes per request each) or regenerating
   /// streams (O(stream_chunk) memory; each simulation re-derives the
   /// byte-identical sequence from the shared per-(alpha, run) RNG
   /// snapshot). kAuto streams above workload::kAutoStreamThreshold

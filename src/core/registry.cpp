@@ -256,10 +256,10 @@ Tables make_builtins() {
        {"replay"},
        "replay a recorded workload trace (workload/trace.h format); "
        "file=PATH is required, bw= names the bandwidth scenario "
-       "(default constant), stream=1 keeps only the catalog resident "
-       "and re-streams request records from disk chunk-wise (O(chunk) "
-       "memory for multi-GB traces)",
-       {"file", "bw", "stream"}},
+       "(default constant); a trace declaring more than 4M requests "
+       "keeps only its catalog resident and re-streams request records "
+       "from disk chunk-wise (O(chunk) memory for multi-GB traces)",
+       {"file", "bw"}},
       [](const util::Spec& spec) {
         const std::string file = spec.get_string("file", "");
         if (file.empty()) {
@@ -270,21 +270,24 @@ Tables make_builtins() {
         const std::string bw = spec.get_string("bw", "constant");
         // The bandwidth environment is any *other* registered scenario.
         Scenario scenario = make_scenario(bw);
-        if (scenario.replay != nullptr || scenario.stream != nullptr) {
+        if (scenario.stream != nullptr) {
           throw util::SpecError("scenario \"trace\": bw=" + bw +
                                 " must name a bandwidth scenario, not "
                                 "another trace");
         }
-        // Loaded (or, under stream=1, validated and indexed) exactly
-        // once per make_scenario call: SweepRunner shares the resulting
-        // immutable stream across every cell and replication.
-        if (spec.get_double("stream", 0.0) != 0.0) {
-          scenario.stream = std::make_shared<const workload::RequestStream>(
-              workload::RequestStream::trace_file(file));
-        } else {
-          scenario.replay = std::make_shared<const workload::Workload>(
-              workload::read_trace(file));
-        }
+        // Read exactly once per make_scenario call, into memory up to
+        // the length synthetic sweeps stream at (the header's declared
+        // count, which the reader checks at end of file), else
+        // validated and indexed for re-streaming: SweepRunner shares
+        // the resulting immutable stream across every cell and
+        // replication.
+        scenario.stream = std::make_shared<const workload::RequestStream>(
+            workload::TraceReader(file).declared_requests() <=
+                    workload::kAutoStreamThreshold
+                ? workload::RequestStream::replay(
+                      std::make_shared<const workload::Workload>(
+                          workload::read_trace(file)))
+                : workload::RequestStream::trace_file(file));
         scenario.name = "trace(" + file + ")+" + scenario.name;
         return scenario;
       });

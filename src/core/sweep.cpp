@@ -57,7 +57,6 @@ RunOutcome extract_outcome(const sim::SimulationResult& r) {
 /// already resolved against the scenario by SweepRunner::run). A fleet
 /// cell runs the same engine with its fleet couplings attached.
 RunOutcome simulate_one(const workload::RequestStream& stream,
-                        const Scenario& scenario,
                         const sim::SimulationConfig& sim_config,
                         std::uint64_t path_seed,
                         std::shared_ptr<const net::PathModel> path_model,
@@ -65,7 +64,7 @@ RunOutcome simulate_one(const workload::RequestStream& stream,
                         const fleet::FleetConfig* fleet_config) {
   const fleet::FleetResult r =
       fleet::run_cell(arena, stream, fleet_config, sim_config, path_seed,
-                      std::move(path_model), &scenario.base, &scenario.ratio);
+                      std::move(path_model));
   RunOutcome out = extract_outcome(r.aggregate);
   out.uplink_utilization = r.uplink_utilization;
   out.load_imbalance = r.load_imbalance;
@@ -154,14 +153,9 @@ std::vector<AveragedMetrics> SweepRunner::run(
   };
   // Trace replay: one immutable request stream, loaded when the
   // scenario was made, shared by every cell and replication (no
-  // generation at all). A materialized `replay` workload is wrapped in
-  // a replay stream; `scenario_.stream` (trace:...,stream=1) is used
-  // as-is and re-reads the file chunk-wise inside each simulation.
-  std::shared_ptr<const workload::RequestStream> fixed = scenario_.stream;
-  if (fixed == nullptr && scenario_.replay != nullptr) {
-    fixed = std::make_shared<const workload::RequestStream>(
-        workload::RequestStream::replay(scenario_.replay));
-  }
+  // generation at all).
+  const std::shared_ptr<const workload::RequestStream>& fixed =
+      scenario_.stream;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     sims[c] = base_.sim;
     // Resolve the scenario's variation mode up front so simulation tasks
@@ -226,21 +220,16 @@ std::vector<AveragedMetrics> SweepRunner::run(
     workload::WorkloadConfig wcfg = base_.workload;
     wcfg.trace.zipf_alpha = alphas[a];
     util::Rng workload_rng = run_rng(base_.base_seed, r).fork("workload");
-    if (materialize) {
-      streams[task] = std::make_shared<const workload::RequestStream>(
-          workload::RequestStream::replay(
-              std::make_shared<const workload::Workload>(
-                  workload::generate_workload(wcfg, workload_rng))));
-    } else {
-      // The catalog consumes the head of the workload stream exactly as
-      // generate_workload would; the stream snapshots the post-catalog
-      // state so cursors regenerate the byte-identical request tail.
-      auto catalog = std::make_shared<const workload::Catalog>(
-          workload::Catalog::generate(wcfg.catalog, workload_rng));
-      streams[task] = std::make_shared<const workload::RequestStream>(
-          workload::RequestStream::synthetic(std::move(catalog), wcfg.trace,
-                                             std::move(workload_rng)));
-    }
+    // The catalog consumes the head of the workload stream exactly as
+    // generate_workload would; the stream snapshots the post-catalog
+    // state so cursors regenerate the byte-identical request tail, and
+    // a materialized workload is that stream drained into memory once.
+    auto catalog = std::make_shared<const workload::Catalog>(
+        workload::Catalog::generate(wcfg.catalog, workload_rng));
+    workload::RequestStream stream = workload::RequestStream::synthetic(
+        std::move(catalog), wcfg.trace, std::move(workload_rng));
+    streams[task] = std::make_shared<const workload::RequestStream>(
+        materialize ? stream.in_memory() : std::move(stream));
   };
 
   // One immutable path model per replication, shared by every cell: the
@@ -290,7 +279,7 @@ std::vector<AveragedMetrics> SweepRunner::run(
         fixed != nullptr ? *fixed : *streams[alpha_of_cell[c] * runs + r];
     const auto start = std::chrono::steady_clock::now();
     outcomes[task] =
-        simulate_one(stream, scenario_, sims[c], path_seeds[r],
+        simulate_one(stream, sims[c], path_seeds[r],
                      path_models[r], arena, fleets[c].get());
     if (!sim_wall.empty()) {
       sim_wall[task] = std::chrono::duration<double>(

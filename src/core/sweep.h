@@ -8,7 +8,7 @@
 //
 //   1. builds each (alpha, replication) workload exactly once and
 //      shares it immutably across all policies and cache fractions as a
-//      workload::RequestStream — a materialized vector for short
+//      workload::RequestStream — in-memory request columns for short
 //      traces, a regenerating O(chunk)-memory stream for long ones
 //      (ExperimentConfig::streaming) — the paired-seed design
 //      guarantees every cell would have generated the identical
@@ -67,7 +67,7 @@ struct SweepCell {
 /// these in their BENCH_*.json perf records.
 struct SweepStats {
   /// Distinct (alpha, replication) workload streams built — each either
-  /// a materialized vector or a regenerating stream, per
+  /// in-memory request columns or a regenerating stream, per
   /// ExperimentConfig::streaming (0 under a trace scenario, which
   /// shares one immutable stream across the grid).
   std::size_t workloads_generated = 0;

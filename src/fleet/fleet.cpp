@@ -115,16 +115,7 @@ FleetResult run_cell(sim::SimulationArena& arena,
                      const workload::RequestStream& stream,
                      const FleetConfig* fleet,
                      const sim::SimulationConfig& config, std::uint64_t seed,
-                     std::shared_ptr<const net::PathModel> path_model,
-                     const stats::EmpiricalDistribution* base,
-                     const stats::EmpiricalDistribution* ratio) {
-  if (path_model == nullptr) {
-    // Bit-identical to a shared model by the PathModel RNG-snapshot
-    // contract.
-    path_model = std::make_shared<const net::PathModel>(
-        stream.catalog().size(), *base, *ratio, config.path_config,
-        util::Rng(seed).fork("paths"));
-  }
+                     std::shared_ptr<const net::PathModel> path_model) {
   std::optional<FleetRun> run;
   if (fleet != nullptr) run.emplace(*fleet, seed);
   sim::MonoRunContext context;
@@ -154,12 +145,19 @@ FleetResult run_fleet(const workload::RequestStream& stream,
   if (config.cache_capacity_bytes < 0) {
     throw std::invalid_argument("run_fleet: negative cache capacity");
   }
-  if (path_model == nullptr && (base == nullptr || ratio == nullptr)) {
-    throw std::invalid_argument("run_fleet: null path model");
+  if (path_model == nullptr) {
+    if (base == nullptr || ratio == nullptr) {
+      throw std::invalid_argument("run_fleet: null path model");
+    }
+    // Exactly sim::Simulator's derivation, bit-identical to a shared
+    // model by the PathModel RNG-snapshot contract.
+    path_model = std::make_shared<const net::PathModel>(
+        stream.catalog().size(), *base, *ratio, config.path_config,
+        util::Rng(config.seed).fork("paths"));
   }
   sim::SimulationArena arena;
   return run_cell(arena, stream, &fleet, config, config.seed,
-                  std::move(path_model), base, ratio);
+                  std::move(path_model));
 }
 
 }  // namespace sc::fleet

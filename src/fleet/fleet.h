@@ -193,15 +193,13 @@ struct FleetRun {
 /// from `arena` (sim/arena.h): a fleet cell of `*fleet`, or the single
 /// cell when `fleet` is null (then only `aggregate` is set and the fleet
 /// diagnostics keep their defaults). `seed` is the run's root seed and
-/// overrides `config.seed`; `path_model` may be null, in which case the
-/// model is drawn from the seed (`base`/`ratio` must then be non-null).
-/// sim::Simulator, run_fleet and core::SweepRunner all run through here.
+/// overrides `config.seed`; `path_model` must be non-null (its callers
+/// build it before the call). sim::Simulator, run_fleet and
+/// core::SweepRunner all run through here.
 [[nodiscard]] FleetResult run_cell(
     sim::SimulationArena& arena, const workload::RequestStream& stream,
     const FleetConfig* fleet, const sim::SimulationConfig& config,
-    std::uint64_t seed, std::shared_ptr<const net::PathModel> path_model,
-    const stats::EmpiricalDistribution* base,
-    const stats::EmpiricalDistribution* ratio);
+    std::uint64_t seed, std::shared_ptr<const net::PathModel> path_model);
 
 /// Run one fleet cell over `stream`. `config` supplies the per-proxy
 /// component specs, the *aggregate* cache budget

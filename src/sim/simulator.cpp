@@ -12,9 +12,8 @@ namespace sc::sim {
 
 namespace {
 
-/// A replay stream over a caller-owned workload (the Workload&
-/// constructors' documented "must outlive the simulator" contract): the
-/// aliasing shared_ptr shares no ownership, it only points.
+/// A replay stream over a caller's workload: replay() copies the
+/// requests and the catalog, so a non-owning pointer suffices.
 workload::RequestStream borrow(const workload::Workload& workload) {
   return workload::RequestStream::replay(
       std::shared_ptr<const workload::Workload>(
@@ -27,39 +26,39 @@ Simulator::Simulator(const workload::Workload& workload,
                      const stats::EmpiricalDistribution& base_bandwidth,
                      const stats::EmpiricalDistribution& ratio_model,
                      SimulationConfig config)
-    : Simulator(borrow(workload), &base_bandwidth, &ratio_model, nullptr,
+    : Simulator(borrow(workload), base_bandwidth, ratio_model,
                 std::move(config)) {}
 
 Simulator::Simulator(const workload::Workload& workload,
                      std::shared_ptr<const net::PathModel> path_model,
                      SimulationConfig config)
-    : Simulator(borrow(workload), nullptr, nullptr, std::move(path_model),
-                std::move(config)) {}
+    : Simulator(borrow(workload), std::move(path_model), std::move(config)) {}
 
 Simulator::Simulator(workload::RequestStream stream,
                      const stats::EmpiricalDistribution& base_bandwidth,
                      const stats::EmpiricalDistribution& ratio_model,
                      SimulationConfig config)
-    : Simulator(std::move(stream), &base_bandwidth, &ratio_model, nullptr,
-                std::move(config)) {}
+    : stream_(std::move(stream)),
+      // Members initialize in declaration order: the model reads
+      // `config` before config_ takes it over.
+      path_model_(std::make_shared<const net::PathModel>(
+          stream_.catalog().size(), base_bandwidth, ratio_model,
+          config.path_config, util::Rng(config.seed).fork("paths"))),
+      config_(std::move(config)) {
+  validate();
+}
 
 Simulator::Simulator(workload::RequestStream stream,
-                     std::shared_ptr<const net::PathModel> path_model,
-                     SimulationConfig config)
-    : Simulator(std::move(stream), nullptr, nullptr, std::move(path_model),
-                std::move(config)) {}
-
-Simulator::Simulator(workload::RequestStream stream,
-                     const stats::EmpiricalDistribution* base_bandwidth,
-                     const stats::EmpiricalDistribution* ratio_model,
                      std::shared_ptr<const net::PathModel> path_model,
                      SimulationConfig config)
     : stream_(std::move(stream)),
       path_model_(std::move(path_model)),
       config_(std::move(config)) {
-  if (base_bandwidth != nullptr) base_.emplace(*base_bandwidth);
-  if (ratio_model != nullptr) ratio_.emplace(*ratio_model);
-  if (path_model_ == nullptr && !base_.has_value()) {
+  validate();
+}
+
+void Simulator::validate() const {
+  if (path_model_ == nullptr) {
     throw std::invalid_argument("Simulator: null path model");
   }
   if (config_.cache_capacity_bytes < 0) {
@@ -74,8 +73,7 @@ Simulator::Simulator(workload::RequestStream stream,
   if (config_.stream_chunk == 0) {
     throw std::invalid_argument("Simulator: stream_chunk must be >= 1");
   }
-  if (path_model_ != nullptr &&
-      path_model_->size() != stream_.catalog().size()) {
+  if (path_model_->size() != stream_.catalog().size()) {
     throw std::invalid_argument(
         "Simulator: shared path model size != catalog size");
   }
@@ -92,8 +90,7 @@ SimulationResult Simulator::run(SimulationArena* arena) {
   std::optional<SimulationArena> local;
   SimulationArena& cache = arena != nullptr ? *arena : local.emplace();
   return fleet::run_cell(cache, stream_, nullptr, config_, config_.seed,
-                         path_model_, base_.has_value() ? &*base_ : nullptr,
-                         ratio_.has_value() ? &*ratio_ : nullptr)
+                         path_model_)
       .aggregate;
 }
 

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "net/fault.h"
@@ -90,21 +89,21 @@ class SimulationArena;
 /// One simulation run over a fixed workload.
 class Simulator {
  public:
-  /// `workload` must outlive the simulator. `base_bandwidth` is the
-  /// per-path mean model (Fig 2); `ratio_model` the variability model
-  /// (constant / Fig 3 / Fig 4) applied per `config.path_config.mode`.
-  /// The path model (per-path mean draws) is built inside run() from
-  /// `config.seed`.
+  /// The simulator copies what it needs of `workload`. `base_bandwidth`
+  /// is the per-path mean model (Fig 2); `ratio_model` the variability
+  /// model (constant / Fig 3 / Fig 4) applied per
+  /// `config.path_config.mode`. The path model (per-path mean draws) is
+  /// drawn once, here, from `Rng(config.seed).fork("paths")`.
   Simulator(const workload::Workload& workload,
             const stats::EmpiricalDistribution& base_bandwidth,
             const stats::EmpiricalDistribution& ratio_model,
             SimulationConfig config);
 
   /// Shared-path-model form: run() samples bandwidth from `path_model`
-  /// (which must have one path per catalog object) instead of drawing a
-  /// fresh model. Because the model snapshots its post-draw RNG state,
-  /// results are bit-identical to the unshared constructor when the
-  /// model was built from `Rng(config.seed).fork("paths")` — this is how
+  /// (which must have one path per catalog object) instead of a model
+  /// drawn from the seed. Because the model snapshots its post-draw RNG
+  /// state, results are bit-identical to the unshared constructor when
+  /// the model was built from `Rng(config.seed).fork("paths")` — this is how
   /// core::SweepRunner shares one model per replication across a whole
   /// grid (see docs/PERF.md).
   Simulator(const workload::Workload& workload,
@@ -134,16 +133,10 @@ class Simulator {
   [[nodiscard]] SimulationResult run(SimulationArena* arena);
 
  private:
-  Simulator(workload::RequestStream stream,
-            const stats::EmpiricalDistribution* base_bandwidth,
-            const stats::EmpiricalDistribution* ratio_model,
-            std::shared_ptr<const net::PathModel> path_model,
-            SimulationConfig config);
+  /// The constructors' argument checks, on the initialized members.
+  void validate() const;
 
   workload::RequestStream stream_;
-  // Engaged only for the unshared constructor (run() builds the model).
-  std::optional<stats::EmpiricalDistribution> base_;
-  std::optional<stats::EmpiricalDistribution> ratio_;
   std::shared_ptr<const net::PathModel> path_model_;
   SimulationConfig config_;
 };

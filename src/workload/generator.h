@@ -101,8 +101,8 @@ class TraceSampler {
 enum class StreamingMode {
   /// Materialize below kAutoStreamThreshold requests, stream above it.
   kAuto,
-  /// Always build the full std::vector<Request> up front (the pre-stream
-  /// behavior; O(num_requests) memory per distinct (alpha, run)).
+  /// Always hold the requests in memory, drained once into the stream's
+  /// columns (O(num_requests) memory per distinct (alpha, run)).
   kMaterialize,
   /// Always regenerate chunk-wise inside each simulation (O(chunk)
   /// memory; each simulation re-runs the generator, trading CPU for the
@@ -111,9 +111,10 @@ enum class StreamingMode {
 };
 
 /// kAuto switches to streaming above this trace length: regenerating a
-/// short trace per simulation costs more than the vector it avoids, and
-/// ~4M requests (~100 MB per distinct (alpha, run)) is where the memory
-/// pressure starts to dominate.
+/// short trace per simulation costs more than the columns it avoids,
+/// and ~4M requests (~96 MB of request columns per distinct (alpha,
+/// run)) is where the memory pressure starts to dominate. The trace
+/// scenario applies the same threshold to a file's declared count.
 inline constexpr std::size_t kAutoStreamThreshold = 4'000'000;
 
 }  // namespace sc::workload

@@ -34,7 +34,7 @@ RequestStream RequestStream::replay(std::shared_ptr<const Workload> workload) {
     columns->view_s.push_back(r.view_s);
   }
   s.columns_ = std::move(columns);
-  s.workload_ = std::move(workload);
+  s.catalog_ = std::make_shared<const Catalog>(workload->catalog);
   return s;
 }
 
@@ -86,18 +86,28 @@ RequestStream RequestStream::trace_file(std::filesystem::path path) {
   return s;
 }
 
-std::vector<Request> RequestStream::materialize() const {
-  std::vector<Request> requests;
-  requests.reserve(num_requests_);
+RequestStream RequestStream::in_memory() const {
+  if (source_ == Source::kReplay) return *this;
+  auto columns = std::make_shared<ReplayColumns>();
+  columns->time_s.reserve(num_requests_);
+  columns->object.reserve(num_requests_);
+  columns->view_s.reserve(num_requests_);
   RequestCursor cursor;
   cursor.bind(*this, kDefaultStreamChunk);
   while (const RequestBlock* block = cursor.next()) {
-    for (std::size_t i = 0; i < block->size; ++i) {
-      requests.push_back(
-          Request{block->time_s[i], block->object[i], block->view_s[i]});
-    }
+    columns->time_s.insert(columns->time_s.end(), block->time_s,
+                           block->time_s + block->size);
+    columns->object.insert(columns->object.end(), block->object,
+                           block->object + block->size);
+    columns->view_s.insert(columns->view_s.end(), block->view_s,
+                           block->view_s + block->size);
   }
-  return requests;
+  RequestStream s;
+  s.source_ = Source::kReplay;
+  s.num_requests_ = num_requests_;
+  s.columns_ = std::move(columns);
+  s.catalog_ = catalog_;
+  return s;
 }
 
 void RequestCursor::bind(const RequestStream& stream, std::size_t chunk) {

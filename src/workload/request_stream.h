@@ -4,16 +4,18 @@
 // A RequestStream is an immutable description of a request sequence with
 // three interchangeable sources:
 //
-//   - replay:    a materialized Workload (generated up front, or loaded
-//                by a trace scenario). The stream transposes the request
-//                vector to SoA once at construction; chunks are then
-//                zero-copy slices of those arrays.
+//   - replay:    SoA columns held in memory, the only resident form of a
+//                request sequence. replay() transposes a Workload's
+//                request vector once and keeps a copy of its catalog,
+//                not the workload; in_memory() drains any other source
+//                into the same columns. Chunks are zero-copy slices of
+//                the columns.
 //   - synthetic: a catalog + TraceConfig + the post-catalog RNG
 //                snapshot. Chunks are regenerated on the fly by
 //                workload::TraceSampler — the *same* sampler
 //                generate_trace uses — so the streamed sequence is
-//                byte-identical to the vector the materialized path
-//                would have built, while peak memory is O(chunk).
+//                byte-identical to the vector generate_trace would
+//                have built, while peak memory is O(chunk).
 //   - trace file: the catalog is parsed once up front (and the whole
 //                file validated); request records re-stream from disk
 //                chunk-wise inside each simulation via TraceReader.
@@ -63,11 +65,13 @@ inline constexpr std::size_t kDefaultStreamChunk = 4096;
 class RequestCursor;
 
 /// An immutable, shareable request sequence (see file comment). Copyable
-/// (copies share the underlying workload/catalog via shared_ptr).
+/// (copies share the underlying columns/catalog via shared_ptr).
 class RequestStream {
  public:
   /// Replay `workload` (must be non-null, non-empty catalog allowed;
-  /// request times must not decrease).
+  /// request times must not decrease). The stream copies the requests
+  /// into its columns and the catalog, and keeps no reference to
+  /// `workload`.
   [[nodiscard]] static RequestStream replay(
       std::shared_ptr<const Workload> workload);
 
@@ -86,20 +90,16 @@ class RequestStream {
   /// re-reads the request records from disk.
   [[nodiscard]] static RequestStream trace_file(std::filesystem::path path);
 
-  [[nodiscard]] const Catalog& catalog() const noexcept {
-    return workload_ != nullptr ? workload_->catalog : *catalog_;
-  }
+  [[nodiscard]] const Catalog& catalog() const noexcept { return *catalog_; }
   [[nodiscard]] std::size_t num_requests() const noexcept {
     return num_requests_;
   }
 
-  /// The replayed workload, or nullptr for regenerating sources.
-  [[nodiscard]] const Workload* replayed() const noexcept {
-    return source_ == Source::kReplay ? workload_.get() : nullptr;
-  }
-
-  /// Materialize the full request vector (tests, tools; O(n) memory).
-  [[nodiscard]] std::vector<Request> materialize() const;
+  /// The same sequence held in memory, over the same catalog: a replay
+  /// stream returns itself; any other source is drained through one
+  /// cursor into freshly reserved columns (O(n) memory, 24 bytes per
+  /// request).
+  [[nodiscard]] RequestStream in_memory() const;
 
  private:
   friend class RequestCursor;
@@ -107,9 +107,9 @@ class RequestStream {
 
   RequestStream() = default;
 
-  /// SoA transposition of a replayed workload's request vector, built
-  /// once per stream so every cursor chunk is a pointer slice instead of
-  /// a copy (the transpose cost amortizes over all cells x runs).
+  /// The resident request sequence in SoA form, built once per stream
+  /// so every cursor chunk is a pointer slice instead of a copy (the
+  /// fill cost amortizes over all cells x runs).
   struct ReplayColumns {
     std::vector<double> time_s;
     std::vector<ObjectId> object;
@@ -117,9 +117,8 @@ class RequestStream {
   };
 
   Source source_ = Source::kReplay;
-  std::shared_ptr<const Workload> workload_;           // kReplay
   std::shared_ptr<const ReplayColumns> columns_;       // kReplay
-  std::shared_ptr<const Catalog> catalog_;             // kSynthetic/kTraceFile
+  std::shared_ptr<const Catalog> catalog_;             // every source
   std::shared_ptr<const stats::ZipfLike> popularity_;  // kSynthetic
   TraceConfig trace_{};                                // kSynthetic
   std::optional<util::Rng> rng_;                       // kSynthetic

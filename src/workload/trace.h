@@ -5,9 +5,10 @@
 // Replay a written trace from any bench/example binary with
 // `--scenario=trace:file=PATH` (see core/registry.h): the file is
 // loaded once per sweep grid and shared immutably across every cell.
-// `trace:file=PATH,stream=1` keeps only the catalog resident and
-// re-streams the request records from disk chunk-wise inside each
-// simulation (O(chunk) memory; see workload/request_stream.h).
+// A trace declaring more than kAutoStreamThreshold requests keeps only
+// its catalog resident and re-streams the request records from disk
+// chunk-wise inside each simulation (O(chunk) memory; see
+// workload/request_stream.h).
 #pragma once
 
 #include <cstddef>

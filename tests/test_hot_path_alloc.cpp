@@ -240,6 +240,39 @@ TEST(HotPathAllocations, StreamingAllocationsDoNotScaleWithTraceLength) {
       << " at 80k";
 }
 
+TEST(HotPathAllocations, ResidentSweepHoldsEachRequestOnce) {
+  // Under StreamingMode::kMaterialize each (alpha, run) workload lives
+  // in memory once, as its stream's SoA columns (time, object, view:
+  // 24 bytes per request), with no request vector beside them. A 4x
+  // longer trace may add those 24 bytes per extra request and a fixed
+  // 64 KiB sliver of cumulative allocated bytes, and no more.
+  const auto run_resident = [](std::size_t requests) {
+    core::ExperimentConfig cfg;
+    cfg.workload.catalog.num_objects = 300;
+    cfg.workload.trace.num_requests = requests;
+    cfg.runs = 2;
+    cfg.threads = 1;
+    cfg.streaming = workload::StreamingMode::kMaterialize;
+    cfg.sim.cache_capacity_bytes =
+        core::capacity_for_fraction(workload::CatalogConfig{}, 0.001);
+    const std::uint64_t before = g_new_bytes.load();
+    (void)core::run_experiment(cfg, core::constant_scenario());
+    return g_new_bytes.load() - before;
+  };
+  (void)run_resident(20000);  // warm lazy registry/static setup
+  const std::uint64_t bytes_short = run_resident(20000);
+  const std::uint64_t bytes_long = run_resident(80000);
+  const std::uint64_t extra_requests = 2 * (80000 - 20000);  // 2 runs
+  constexpr std::uint64_t kColumnBytes =
+      sizeof(double) + sizeof(workload::ObjectId) + sizeof(double);
+  EXPECT_LE(bytes_long, bytes_short + kColumnBytes * extra_requests + 64 * 1024)
+      << bytes_short << " bytes at 20k requests vs " << bytes_long
+      << " at 80k: "
+      << static_cast<double>(bytes_long - bytes_short) /
+             static_cast<double>(extra_requests)
+      << " bytes per extra request";
+}
+
 TEST(HotPathAllocations, PassiveEstimatorPathIsAllocationFreeToo) {
   // The EWMA and last-sample estimators exercise the deferred
   // ObservationEvent path (per-path lists on their kernel engines) for

@@ -324,7 +324,7 @@ TEST(EngineDispatch, TraceScenarioGridIdenticalOnBothEngines) {
   const auto scenario = core::registry::make_scenario(
       "trace:file=" + trace_path.string() + ",bw=measured");
   std::filesystem::remove(trace_path);
-  ASSERT_NE(scenario.replay, nullptr);
+  ASSERT_NE(scenario.stream, nullptr);
 
   std::vector<core::SweepCell> cells;
   for (const char* policy : {"pb", "ib", "lru"}) {
@@ -564,9 +564,11 @@ TEST(EngineDispatch, ArenaReuseAcrossFleetCellsBitIdenticalToFreshArena) {
     if (!fleet_spec.empty()) {
       shape.emplace(fleet::FleetConfig::parse(fleet_spec));
     }
-    return fleet::run_cell(arena, stream, shape ? &*shape : nullptr, cfg,
-                           cfg.seed, nullptr, &scenario.base,
-                           &scenario.ratio);
+    return fleet::run_cell(
+        arena, stream, shape ? &*shape : nullptr, cfg, cfg.seed,
+        std::make_shared<const net::PathModel>(
+            stream.catalog().size(), scenario.base, scenario.ratio,
+            cfg.path_config, util::Rng(cfg.seed).fork("paths")));
   };
 
   SimulationArena reused;

@@ -49,28 +49,32 @@ TEST(RequestStream, SyntheticMatchesGenerateWorkloadExactly) {
 
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{4096}}) {
-    RequestStream stream = stream_for(cfg, 7);
-    ASSERT_EQ(stream.num_requests(), w.requests.size());
-    RequestCursor cursor;
-    cursor.bind(stream, chunk);
-    std::size_t i = 0;
-    while (const RequestBlock* block = cursor.next()) {
-      ASSERT_EQ(block->first, i);
-      for (std::size_t k = 0; k < block->size; ++k, ++i) {
-        ASSERT_LT(i, w.requests.size());
-        EXPECT_EQ(block->time_s[k], w.requests[i].time_s) << "chunk " << chunk;
-        EXPECT_EQ(block->object[k], w.requests[i].object);
-        EXPECT_EQ(block->view_s[k], w.requests[i].view_s);
+    const RequestStream synthetic = stream_for(cfg, 7);
+    // The regenerating source, and the same source drained into memory.
+    for (const RequestStream& stream : {synthetic, synthetic.in_memory()}) {
+      ASSERT_EQ(stream.num_requests(), w.requests.size());
+      RequestCursor cursor;
+      cursor.bind(stream, chunk);
+      std::size_t i = 0;
+      while (const RequestBlock* block = cursor.next()) {
+        ASSERT_EQ(block->first, i);
+        for (std::size_t k = 0; k < block->size; ++k, ++i) {
+          ASSERT_LT(i, w.requests.size());
+          EXPECT_EQ(block->time_s[k], w.requests[i].time_s)
+              << "chunk " << chunk;
+          EXPECT_EQ(block->object[k], w.requests[i].object);
+          EXPECT_EQ(block->view_s[k], w.requests[i].view_s);
+        }
       }
-    }
-    EXPECT_EQ(i, w.requests.size()) << "chunk " << chunk;
-    // And the catalogs come from the same draws.
-    ASSERT_EQ(stream.catalog().size(), w.catalog.size());
-    for (std::size_t o = 0; o < w.catalog.size(); ++o) {
-      EXPECT_EQ(stream.catalog().objects()[o].duration_s,
-                w.catalog.objects()[o].duration_s);
-      EXPECT_EQ(stream.catalog().objects()[o].bitrate,
-                w.catalog.objects()[o].bitrate);
+      EXPECT_EQ(i, w.requests.size()) << "chunk " << chunk;
+      // And the catalogs come from the same draws.
+      ASSERT_EQ(stream.catalog().size(), w.catalog.size());
+      for (std::size_t o = 0; o < w.catalog.size(); ++o) {
+        EXPECT_EQ(stream.catalog().objects()[o].duration_s,
+                  w.catalog.objects()[o].duration_s);
+        EXPECT_EQ(stream.catalog().objects()[o].bitrate,
+                  w.catalog.objects()[o].bitrate);
+      }
     }
   }
 }
@@ -78,14 +82,35 @@ TEST(RequestStream, SyntheticMatchesGenerateWorkloadExactly) {
 TEST(RequestStream, MaterializeRoundTripsAndRewinds) {
   const auto cfg = small_config(100, 500);
   RequestStream stream = stream_for(cfg, 11);
-  const std::vector<Request> a = stream.materialize();
-  const std::vector<Request> b =
-      stream.materialize();  // cursors never consume the stream
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time_s, b[i].time_s);
-    EXPECT_EQ(a[i].object, b[i].object);
+  const RequestStream a = stream.in_memory();
+  const RequestStream b =
+      stream.in_memory();  // cursors never consume the stream
+  ASSERT_EQ(a.num_requests(), b.num_requests());
+  RequestCursor cursor_a;
+  RequestCursor cursor_b;
+  cursor_a.bind(a, 64);
+  cursor_b.bind(b, 64);
+  std::size_t n = 0;
+  while (const RequestBlock* block_a = cursor_a.next()) {
+    const RequestBlock* block_b = cursor_b.next();
+    ASSERT_NE(block_b, nullptr);
+    ASSERT_EQ(block_a->first, block_b->first);
+    ASSERT_EQ(block_a->size, block_b->size);
+    for (std::size_t k = 0; k < block_a->size; ++k) {
+      EXPECT_EQ(block_a->time_s[k], block_b->time_s[k]);
+      EXPECT_EQ(block_a->object[k], block_b->object[k]);
+      EXPECT_EQ(block_a->view_s[k], block_b->view_s[k]);
+    }
+    n += block_a->size;
   }
+  EXPECT_EQ(cursor_b.next(), nullptr);
+  EXPECT_EQ(n, a.num_requests());
+  // A resident stream is already in memory: its copy shares the columns.
+  const RequestStream c = a.in_memory();
+  RequestCursor cursor_c;
+  cursor_a.bind(a, 64);
+  cursor_c.bind(c, 64);
+  EXPECT_EQ(cursor_a.next()->time_s, cursor_c.next()->time_s);
 }
 
 TEST(RequestStream, ReplayRejectsNullAndZeroChunk) {
@@ -112,22 +137,25 @@ TEST(RequestStream, TraceFileStreamMatchesReplay) {
       std::filesystem::temp_directory_path() / "sc_stream_roundtrip.trace";
   write_trace(w, path);
 
-  RequestStream stream = RequestStream::trace_file(path);
-  ASSERT_EQ(stream.num_requests(), w.requests.size());
-  ASSERT_EQ(stream.catalog().size(), w.catalog.size());
+  const RequestStream from_disk = RequestStream::trace_file(path);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{4096}}) {
-    RequestCursor cursor;
-    cursor.bind(stream, chunk);
-    std::size_t i = 0;
-    while (const RequestBlock* block = cursor.next()) {
-      for (std::size_t k = 0; k < block->size; ++k, ++i) {
-        EXPECT_EQ(block->time_s[k], w.requests[i].time_s);
-        EXPECT_EQ(block->object[k], w.requests[i].object);
-        EXPECT_EQ(block->view_s[k], w.requests[i].view_s);
+    // The file re-streamed, and the same file drained into memory.
+    for (const RequestStream& stream : {from_disk, from_disk.in_memory()}) {
+      ASSERT_EQ(stream.num_requests(), w.requests.size());
+      ASSERT_EQ(stream.catalog().size(), w.catalog.size());
+      RequestCursor cursor;
+      cursor.bind(stream, chunk);
+      std::size_t i = 0;
+      while (const RequestBlock* block = cursor.next()) {
+        for (std::size_t k = 0; k < block->size; ++k, ++i) {
+          EXPECT_EQ(block->time_s[k], w.requests[i].time_s);
+          EXPECT_EQ(block->object[k], w.requests[i].object);
+          EXPECT_EQ(block->view_s[k], w.requests[i].view_s);
+        }
       }
+      EXPECT_EQ(i, w.requests.size()) << "chunk " << chunk;
     }
-    EXPECT_EQ(i, w.requests.size()) << "chunk " << chunk;
   }
   std::filesystem::remove(path);
 }

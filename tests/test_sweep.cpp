@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <string>
 
 #include "core/registry.h"
 #include "sim/simulator.h"
@@ -215,8 +217,8 @@ TEST(SweepRunner, TraceReplaySharesOneWorkloadAcrossEverything) {
   const auto scenario =
       registry::make_scenario("trace:file=" + trace_path.string());
   std::filesystem::remove(trace_path);
-  ASSERT_NE(scenario.replay, nullptr);
-  ASSERT_EQ(scenario.replay->requests.size(), w.requests.size());
+  ASSERT_NE(scenario.stream, nullptr);
+  ASSERT_EQ(scenario.stream->num_requests(), w.requests.size());
 
   std::vector<SweepCell> cells;
   cells.push_back(SweepCell{"pb", -1.0, 0.05, {}, {}, {}});
@@ -235,11 +237,69 @@ TEST(SweepRunner, TraceReplaySharesOneWorkloadAcrossEverything) {
   ExperimentConfig direct_cfg = small_config();
   direct_cfg.sim.policy = "pb";
   direct_cfg.sim.cache_capacity_bytes =
-      0.05 * scenario.replay->catalog.total_bytes();
+      0.05 * scenario.stream->catalog().total_bytes();
   Scenario direct = constant_scenario();
-  direct.replay = std::make_shared<const workload::Workload>(w);
+  direct.stream = std::make_shared<const workload::RequestStream>(
+      workload::RequestStream::replay(
+          std::make_shared<const workload::Workload>(w)));
   const auto direct_metrics = run_experiment(direct_cfg, direct);
   expect_bit_identical(r[0], direct_metrics);
+}
+
+TEST(SweepRunner, TraceGridIsIdenticalResidentOrStreamedFromDisk) {
+  // The trace scenario holds a trace of up to kAutoStreamThreshold
+  // declared requests in memory and re-streams a longer one from disk.
+  // Both sources must give one grid (recorded viewing durations, every
+  // interactivity reading of them, a cooperative fleet cell) identical
+  // results field for field, and neither generates a workload.
+  workload::WorkloadConfig wcfg;
+  wcfg.catalog.num_objects = 120;
+  wcfg.trace.num_requests = 3000;
+  util::Rng rng(43);
+  auto w = workload::generate_workload(wcfg, rng);
+  util::Rng view_rng(44);
+  for (auto& r : w.requests) {
+    if (view_rng.uniform() < 0.5) r.view_s = view_rng.uniform(30.0, 3000.0);
+  }
+  const auto trace_path = std::filesystem::temp_directory_path() /
+                          "sc_sweep_resident_or_disk.trace";
+  workload::write_trace(w, trace_path);
+  const Scenario resident = registry::make_scenario(
+      "trace:file=" + trace_path.string() + ",bw=measured");
+  Scenario from_disk = registry::make_scenario("measured");
+  from_disk.stream = std::make_shared<const workload::RequestStream>(
+      workload::RequestStream::trace_file(trace_path));
+
+  std::vector<SweepCell> cells;
+  cells.push_back(SweepCell{"pb", -1.0, 0.05, "full", {}, {}});
+  cells.push_back(SweepCell{"ib", -1.0, 0.02, "trace", {}, {}});
+  cells.push_back(SweepCell{"lru", -1.0, 0.05, "empirical", {}, {}});
+  cells.push_back(SweepCell{
+      "pb", -1.0, 0.05, "trace", {}, "fleet:proxies=2,sharding=random,coop=1"});
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ExperimentConfig cfg = small_config();
+    cfg.sim.estimator = "ewma";
+    cfg.threads = threads;
+    SweepStats resident_stats;
+    SweepStats disk_stats;
+    const auto a = SweepRunner(cfg, resident).run(cells, &resident_stats);
+    const auto b = SweepRunner(cfg, from_disk).run(cells, &disk_stats);
+    EXPECT_EQ(resident_stats.workloads_generated, 0u);
+    EXPECT_EQ(disk_stats.workloads_generated, 0u);
+    ASSERT_EQ(a.size(), cells.size());
+    ASSERT_EQ(b.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      SCOPED_TRACE("cell " + std::to_string(c) + " threads " +
+                   std::to_string(threads));
+      expect_bit_identical(a[c], b[c]);
+      EXPECT_EQ(a[c].denied_requests, b[c].denied_requests);
+      EXPECT_EQ(a[c].denied_bytes, b[c].denied_bytes);
+      EXPECT_EQ(a[c].uplink_utilization, b[c].uplink_utilization);
+      EXPECT_EQ(a[c].load_imbalance, b[c].load_imbalance);
+      EXPECT_EQ(a[c].peer_hit_ratio, b[c].peer_hit_ratio);
+    }
+  }
+  std::filesystem::remove(trace_path);
 }
 
 TEST(SweepRunner, TraceScenarioSpecErrors) {
@@ -259,6 +319,10 @@ TEST(SweepRunner, TraceScenarioSpecErrors) {
   EXPECT_THROW((void)registry::make_scenario("trace:file=" + p.string() +
                                              ",bw=trace:file=" + p.string()),
                util::SpecError);
+  // The size rule picks the source; there is no stream switch.
+  EXPECT_THROW(
+      (void)registry::make_scenario("trace:file=" + p.string() + ",stream=1"),
+      util::SpecError);
   std::filesystem::remove(p);
   // Missing file: a useful runtime error, not a crash.
   EXPECT_THROW(
