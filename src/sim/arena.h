@@ -58,8 +58,8 @@ struct MonoRunContext {
   /// see workload/request_stream.h). Shared per (alpha, replication) by
   /// core::SweepRunner exactly as materialized workloads used to be.
   const workload::RequestStream* stream = nullptr;
-  /// The run's immutable path model; never null (fleet::run_cell draws
-  /// one when its caller shares none).
+  /// The run's immutable path model; never null (fleet::run_cell's
+  /// callers share or draw one before the call).
   std::shared_ptr<const net::PathModel> model;
   /// Component specs and simulation knobs. `config->seed` is ignored in
   /// favor of `seed` so sweep tasks need not copy the config per
