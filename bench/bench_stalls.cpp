@@ -57,8 +57,8 @@ StallStats run_policy(const std::string& policy_spec,
   const auto& ratio = scenario.ratio;
   net::PathModelConfig pcfg;
   pcfg.mode = net::VariationMode::kConstant;
-  const auto paths = std::make_shared<const net::PathModel>(
-      w.catalog.size(), base, ratio, pcfg, util::Rng(scfg.seed).fork("paths"));
+  const auto paths =
+      net::PathModel::for_seed(w.catalog.size(), base, ratio, pcfg, scfg.seed);
   const auto estimator = core::registry::make_estimator(
       cfg.estimator, *paths, util::Rng(scfg.seed).fork("estimator"));
   cache::PartialStore store(scfg.cache_capacity_bytes);

@@ -30,10 +30,10 @@ struct Scenario {
   /// whole grid, so workload shape knobs (objects/requests/zipf alpha)
   /// are ignored and replications differ only in their bandwidth
   /// draws. Cache fractions resolve against the replayed catalog's
-  /// actual total size. A trace declaring up to
-  /// workload::kAutoStreamThreshold requests is held in memory; a
-  /// longer one keeps only its catalog resident and re-streams the
-  /// request records from disk chunk-wise inside each simulation.
+  /// actual total size. A trace declaring up to 64M (2^26) requests
+  /// is held in memory; a longer one keeps only its catalog resident
+  /// and re-streams the request records from disk chunk-wise inside
+  /// each simulation.
   /// Results are field-identical either way.
   std::shared_ptr<const workload::RequestStream> stream;
 };

@@ -21,6 +21,11 @@ std::string to_string(Kind kind) {
 
 namespace {
 
+// The longest trace held in memory (1.5 GiB of columns, 3 GiB at the
+// load's peak). Re-streaming re-parses the file in every simulation,
+// 4-5x slower end to end (docs/PERF.md, "Trace residency").
+constexpr std::size_t kResidentTraceRequests = std::size_t{1} << 26;
+
 template <typename Factory>
 struct Axis {
   std::vector<std::pair<ComponentInfo, Factory>> entries;
@@ -256,7 +261,7 @@ Tables make_builtins() {
        {"replay"},
        "replay a recorded workload trace (workload/trace.h format); "
        "file=PATH is required, bw= names the bandwidth scenario "
-       "(default constant); a trace declaring more than 4M requests "
+       "(default constant); a trace declaring more than 64M requests "
        "keeps only its catalog resident and re-streams request records "
        "from disk chunk-wise (O(chunk) memory for multi-GB traces)",
        {"file", "bw"}},
@@ -276,14 +281,15 @@ Tables make_builtins() {
                                 "another trace");
         }
         // Read exactly once per make_scenario call, into memory up to
-        // the length synthetic sweeps stream at (the header's declared
-        // count, which the reader checks at end of file), else
-        // validated and indexed for re-streaming: SweepRunner shares
-        // the resulting immutable stream across every cell and
-        // replication.
+        // kResidentTraceRequests (the header's declared count, which
+        // the reader checks at end of file), else validated and
+        // indexed for re-streaming: SweepRunner shares the resulting
+        // immutable stream across every cell and replication.
+        const std::size_t declared =
+            workload::TraceReader(file, workload::TraceReader::kSkipObjects)
+                .declared_requests();
         scenario.stream = std::make_shared<const workload::RequestStream>(
-            workload::TraceReader(file).declared_requests() <=
-                    workload::kAutoStreamThreshold
+            declared <= kResidentTraceRequests
                 ? workload::RequestStream::replay(
                       std::make_shared<const workload::Workload>(
                           workload::read_trace(file)))

@@ -33,7 +33,8 @@ struct RunOutcome {
   double peer_hit_ratio = 0.0;
 };
 
-RunOutcome extract_outcome(const sim::SimulationResult& r) {
+RunOutcome extract_outcome(const fleet::FleetResult& fleet_result) {
+  const sim::SimulationResult& r = fleet_result.aggregate;
   RunOutcome out;
   out.traffic = r.metrics.traffic_reduction_ratio();
   out.delay = r.metrics.average_delay_s();
@@ -45,30 +46,9 @@ RunOutcome extract_outcome(const sim::SimulationResult& r) {
   out.occupancy = r.final_occupancy_bytes;
   out.denied_requests = static_cast<double>(r.metrics.denied_requests());
   out.denied_bytes = r.metrics.denied_bytes();
-  return out;
-}
-
-/// One simulation over an already-built request stream. A pure function
-/// of (stream, seeds, config): safe to run from any thread in any order
-/// (cursors carry all iteration state, so concurrent simulations can
-/// share one stream). `arena` is the executing worker's private engine
-/// cache: the engine reuses its components and run state across every
-/// simulation the worker executes (`sim_config.path_config.mode` was
-/// already resolved against the scenario by SweepRunner::run). A fleet
-/// cell runs the same engine with its fleet couplings attached.
-RunOutcome simulate_one(const workload::RequestStream& stream,
-                        const sim::SimulationConfig& sim_config,
-                        std::uint64_t path_seed,
-                        std::shared_ptr<const net::PathModel> path_model,
-                        sim::SimulationArena& arena,
-                        const fleet::FleetConfig* fleet_config) {
-  const fleet::FleetResult r =
-      fleet::run_cell(arena, stream, fleet_config, sim_config, path_seed,
-                      std::move(path_model));
-  RunOutcome out = extract_outcome(r.aggregate);
-  out.uplink_utilization = r.uplink_utilization;
-  out.load_imbalance = r.load_imbalance;
-  out.peer_hit_ratio = r.peer_hit_ratio;
+  out.uplink_utilization = fleet_result.uplink_utilization;
+  out.load_imbalance = fleet_result.load_imbalance;
+  out.peer_hit_ratio = fleet_result.peer_hit_ratio;
   return out;
 }
 
@@ -244,11 +224,8 @@ std::vector<AveragedMetrics> SweepRunner::run(
                                   ? fixed->catalog().size()
                                   : base_.workload.catalog.num_objects;
   const auto build_model = [&](std::size_t r) {
-    // Exactly the simulator's own derivation: Rng(seed).fork("paths").
-    util::Rng rng(path_seeds[r]);
-    path_models[r] = std::make_shared<const net::PathModel>(
-        n_paths, scenario_.base, scenario_.ratio, path_config,
-        rng.fork("paths"));
+    path_models[r] = net::PathModel::for_seed(
+        n_paths, scenario_.base, scenario_.ratio, path_config, path_seeds[r]);
   };
 
   // Workload generation and model construction are independent; one task
@@ -277,10 +254,13 @@ std::vector<AveragedMetrics> SweepRunner::run(
     const std::size_t r = task % runs;
     const workload::RequestStream& stream =
         fixed != nullptr ? *fixed : *streams[alpha_of_cell[c] * runs + r];
+    // A pure function of (stream, seeds, config): cursors carry all
+    // iteration state, so concurrent simulations share one stream, and
+    // a fleet cell runs the same engine with its couplings attached.
     const auto start = std::chrono::steady_clock::now();
-    outcomes[task] =
-        simulate_one(stream, sims[c], path_seeds[r],
-                     path_models[r], arena, fleets[c].get());
+    outcomes[task] = extract_outcome(fleet::run_cell(
+        arena, stream, fleets[c].get(), sims[c], path_seeds[r],
+        path_models[r]));
     if (!sim_wall.empty()) {
       sim_wall[task] = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)

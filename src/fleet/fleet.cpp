@@ -149,11 +149,9 @@ FleetResult run_fleet(const workload::RequestStream& stream,
     if (base == nullptr || ratio == nullptr) {
       throw std::invalid_argument("run_fleet: null path model");
     }
-    // Exactly sim::Simulator's derivation, bit-identical to a shared
-    // model by the PathModel RNG-snapshot contract.
-    path_model = std::make_shared<const net::PathModel>(
-        stream.catalog().size(), *base, *ratio, config.path_config,
-        util::Rng(config.seed).fork("paths"));
+    path_model = net::PathModel::for_seed(stream.catalog().size(), *base,
+                                          *ratio, config.path_config,
+                                          config.seed);
   }
   sim::SimulationArena arena;
   return run_cell(arena, stream, &fleet, config, config.seed,

@@ -205,8 +205,9 @@ struct FleetRun {
 /// component specs, the *aggregate* cache budget
 /// (cache_capacity_bytes / proxies per proxy), interactivity and
 /// patching extensions, the fault plan, and the run seed. `path_model`
-/// may be null, in which case the model is drawn from the seed exactly
-/// as sim::Simulator does (`base`/`ratio` must then be non-null).
+/// may be null, in which case it is `net::PathModel::for_seed` of
+/// `config.seed`, as in sim::Simulator (`base`/`ratio` must then be
+/// non-null).
 /// Validates its arguments and runs the cell on a run-local arena.
 [[nodiscard]] FleetResult run_fleet(
     const workload::RequestStream& stream, const FleetConfig& fleet,

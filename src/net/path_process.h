@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -85,6 +86,17 @@ class PathModel {
   PathModel(std::size_t n_paths, const stats::EmpiricalDistribution& base,
             const stats::EmpiricalDistribution& ratio, PathModelConfig config,
             util::Rng rng);
+
+  /// The model a simulation seeded `seed` runs on, drawn from
+  /// `Rng(seed).fork("paths")`: every simulator, fleet and sweep builds
+  /// through here, so a model one sweep shares is bit-identical.
+  [[nodiscard]] static std::shared_ptr<const PathModel> for_seed(
+      std::size_t n_paths, const stats::EmpiricalDistribution& base,
+      const stats::EmpiricalDistribution& ratio, PathModelConfig config,
+      std::uint64_t seed) {
+    return std::make_shared<const PathModel>(n_paths, base, ratio, config,
+                                             util::Rng(seed).fork("paths"));
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return means_.size(); }
 

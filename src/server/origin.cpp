@@ -15,9 +15,7 @@ std::shared_ptr<const net::PathModel> build_model(std::size_t n_paths,
   const core::Scenario s = core::registry::make_scenario(scenario);
   net::PathModelConfig config;
   config.mode = s.mode;
-  util::Rng rng(seed);
-  return std::make_shared<const net::PathModel>(n_paths, s.base, s.ratio,
-                                                config, rng.fork("paths"));
+  return net::PathModel::for_seed(n_paths, s.base, s.ratio, config, seed);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ class SimulatedOrigin {
  public:
   /// Build the path model from `config.scenario` with one path per
   /// catalog object (the paper's per-object origin path), seeded the
-  /// same way the simulator seeds its paths: Rng(seed).fork("paths").
+  /// same way the simulator seeds its paths (net::PathModel::for_seed).
   SimulatedOrigin(std::size_t n_paths, const OriginConfig& config,
                   std::uint64_t seed);
 

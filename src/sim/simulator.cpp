@@ -41,9 +41,9 @@ Simulator::Simulator(workload::RequestStream stream,
     : stream_(std::move(stream)),
       // Members initialize in declaration order: the model reads
       // `config` before config_ takes it over.
-      path_model_(std::make_shared<const net::PathModel>(
+      path_model_(net::PathModel::for_seed(
           stream_.catalog().size(), base_bandwidth, ratio_model,
-          config.path_config, util::Rng(config.seed).fork("paths"))),
+          config.path_config, config.seed)),
       config_(std::move(config)) {
   validate();
 }

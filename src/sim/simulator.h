@@ -93,7 +93,7 @@ class Simulator {
   /// is the per-path mean model (Fig 2); `ratio_model` the variability
   /// model (constant / Fig 3 / Fig 4) applied per
   /// `config.path_config.mode`. The path model (per-path mean draws) is
-  /// drawn once, here, from `Rng(config.seed).fork("paths")`.
+  /// drawn once, here, as `net::PathModel::for_seed(..., config.seed)`.
   Simulator(const workload::Workload& workload,
             const stats::EmpiricalDistribution& base_bandwidth,
             const stats::EmpiricalDistribution& ratio_model,
@@ -103,9 +103,9 @@ class Simulator {
   /// (which must have one path per catalog object) instead of a model
   /// drawn from the seed. Because the model snapshots its post-draw RNG
   /// state, results are bit-identical to the unshared constructor when
-  /// the model was built from `Rng(config.seed).fork("paths")` — this is how
-  /// core::SweepRunner shares one model per replication across a whole
-  /// grid (see docs/PERF.md).
+  /// the model is `net::PathModel::for_seed` of `config.seed` — this is
+  /// how core::SweepRunner shares one model per replication across a
+  /// whole grid (see docs/PERF.md).
   Simulator(const workload::Workload& workload,
             std::shared_ptr<const net::PathModel> path_model,
             SimulationConfig config);

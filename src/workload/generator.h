@@ -113,8 +113,9 @@ enum class StreamingMode {
 /// kAuto switches to streaming above this trace length: regenerating a
 /// short trace per simulation costs more than the columns it avoids,
 /// and ~4M requests (~96 MB of request columns per distinct (alpha,
-/// run)) is where the memory pressure starts to dominate. The trace
-/// scenario applies the same threshold to a file's declared count.
+/// run)) is where the memory pressure starts to dominate. Re-reading a
+/// trace file costs far more than regenerating, so the trace scenario
+/// holds files of up to 2^26 requests instead (core/registry.cpp).
 inline constexpr std::size_t kAutoStreamThreshold = 4'000'000;
 
 }  // namespace sc::workload

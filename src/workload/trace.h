@@ -5,8 +5,8 @@
 // Replay a written trace from any bench/example binary with
 // `--scenario=trace:file=PATH` (see core/registry.h): the file is
 // loaded once per sweep grid and shared immutably across every cell.
-// A trace declaring more than kAutoStreamThreshold requests keeps only
-// its catalog resident and re-streams the request records from disk
+// A trace declaring more than 64M (2^26) requests keeps only its
+// catalog resident and re-streams the request records from disk
 // chunk-wise inside each simulation (O(chunk) memory; see
 // workload/request_stream.h).
 #pragma once

@@ -126,14 +126,14 @@ TEST(PaperShapes, OnlinePbApproachesOfflineOptimum) {
   util::Rng wl_rng = run_rng.fork("workload");
   const auto w = workload::generate_workload(cfg.workload, wl_rng);
   net::PathModelConfig pcfg;
-  const net::PathModel paths(
+  const auto paths = net::PathModel::for_seed(
       w.catalog.size(), constant_scenario().base, constant_scenario().ratio,
-      pcfg, util::Rng(run_rng.fork("paths").seed()).fork("paths"));
+      pcfg, run_rng.fork("paths").seed());
 
   cache::OfflineInputs inputs;
   const auto counts = workload::request_counts(w);
   inputs.lambda.assign(counts.begin(), counts.end());
-  inputs.bandwidth = paths.means();
+  inputs.bandwidth = paths->means();
   const auto opt = cache::optimal_fractional(w.catalog, inputs,
                                              cfg.sim.cache_capacity_bytes);
 

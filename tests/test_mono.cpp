@@ -566,9 +566,8 @@ TEST(EngineDispatch, ArenaReuseAcrossFleetCellsBitIdenticalToFreshArena) {
     }
     return fleet::run_cell(
         arena, stream, shape ? &*shape : nullptr, cfg, cfg.seed,
-        std::make_shared<const net::PathModel>(
-            stream.catalog().size(), scenario.base, scenario.ratio,
-            cfg.path_config, util::Rng(cfg.seed).fork("paths")));
+        net::PathModel::for_seed(stream.catalog().size(), scenario.base,
+                                 scenario.ratio, cfg.path_config, cfg.seed));
   };
 
   SimulationArena reused;

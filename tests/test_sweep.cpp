@@ -247,8 +247,8 @@ TEST(SweepRunner, TraceReplaySharesOneWorkloadAcrossEverything) {
 }
 
 TEST(SweepRunner, TraceGridIsIdenticalResidentOrStreamedFromDisk) {
-  // The trace scenario holds a trace of up to kAutoStreamThreshold
-  // declared requests in memory and re-streams a longer one from disk.
+  // The trace scenario holds a trace of up to 64M declared requests in
+  // memory and re-streams a longer one from disk.
   // Both sources must give one grid (recorded viewing durations, every
   // interactivity reading of them, a cooperative fleet cell) identical
   // results field for field, and neither generates a workload.
