@@ -255,6 +255,45 @@ TEST(EngineDispatch, KernelAndVirtualFieldIdenticalForEveryRegisteredPair) {
   }
 }
 
+TEST(EngineDispatch, LfuRunsIfsRuleUnderItsOwnName) {
+  // §3.3's LFU baseline is in-cache LFU, which is IF's rule: the two
+  // specs may differ only in the policy name a result reports.
+  const auto scenario = core::measured_variability_scenario();
+  core::ExperimentConfig cfg = small_config();
+  cfg.sim.estimator = "ewma";
+  std::vector<core::SweepCell> cells;
+  for (const char* policy : {"if", "lfu"}) {
+    for (const double fraction : {0.02, 0.1}) {
+      cells.push_back(core::SweepCell{policy, -1.0, fraction, {}, {}, {}});
+    }
+  }
+  const auto swept = core::SweepRunner(cfg, scenario).run(cells);
+  ASSERT_EQ(swept.size(), 4u);
+  expect_bit_identical(swept[0], swept[2], "if vs lfu at 2%");
+  expect_bit_identical(swept[1], swept[3], "if vs lfu at 10%");
+
+  workload::WorkloadConfig wcfg;
+  wcfg.catalog.num_objects = 120;
+  wcfg.trace.num_requests = 3000;
+  util::Rng wl_rng(3);
+  const auto w = workload::generate_workload(wcfg, wl_rng);
+  SimulationConfig sim_cfg;
+  sim_cfg.estimator = "ewma";
+  sim_cfg.cache_capacity_bytes = core::capacity_for_fraction(wcfg.catalog, 0.05);
+  sim_cfg.path_config.mode = scenario.mode;
+  sim_cfg.seed = 303;
+  sim_cfg.policy = "if";
+  const SimulationResult if_result =
+      Simulator(w, scenario.base, scenario.ratio, sim_cfg).run();
+  sim_cfg.policy = "lfu";
+  SimulationResult lfu_result =
+      Simulator(w, scenario.base, scenario.ratio, sim_cfg).run();
+  EXPECT_EQ(if_result.policy_name, "IF");
+  EXPECT_EQ(lfu_result.policy_name, "LFU");
+  lfu_result.policy_name = if_result.policy_name;
+  expect_results_identical(if_result, lfu_result, "if vs lfu");
+}
+
 TEST(EngineDispatch, EveryInteractivityModeRunsIdenticallyOnBothEngines) {
   // Session dynamics draw inside the shared loop body; the engines must
   // agree for every mode, with and without patching, and across the
