@@ -4,7 +4,7 @@
 //   - active probing (TCP-throughput model from measured RTT + loss,
 //     with per-probe packet overhead),
 //   - passive observation (EWMA over completed transfers, no overhead),
-//   - last-sample passive estimation,
+//   - last-sample passive estimation (the EWMA at alpha = 1),
 // against the true path means, reporting estimate error and overhead, and
 // then shows how estimator quality feeds through to PB caching delay.
 //
@@ -46,7 +46,7 @@ int run_main(int argc, char** argv) {
   net::ActiveProbeEstimator active(probe_model, /*reprobe_interval_s=*/60.0,
                                    rng.fork("active"));
   net::PassiveEwmaEstimator passive(n_paths, 0.3, net::from_kb(50.0));
-  net::LastSampleEstimator last(n_paths, net::from_kb(50.0));
+  net::PassiveEwmaEstimator last(n_paths, 1.0, net::from_kb(50.0));
 
   // Feed each estimator `probes` rounds of observations.
   double t = 0.0;

@@ -47,7 +47,7 @@ inline constexpr double kDefaultKernelE = 1.0;
 /// persistence layer (src/server/persist.h) snapshots and restores. The
 /// shape is policy-agnostic: the shared utility-engine state (request
 /// frequencies and the priority index's (id, key) pairs) plus an opaque
-/// kernel blob (e.g. LRU's recency array). A policy that keeps no state
+/// kernel blob (e.g. LRU's logical clock). A policy that keeps no state
 /// saves an empty snapshot.
 struct PolicySnapshot {
   std::vector<double> freq;                       // indexed by ObjectId
@@ -176,7 +176,7 @@ class UtilityPolicyBase : public CachePolicy {
   /// shared learned state, reusing the frequency and heap storage.
   /// Protected on purpose: rebinding must go through the derived
   /// UtilityPolicy<Kernel>::rebind, which additionally resets kernel
-  /// state (e.g. LRU recency) — calling this half alone through a base
+  /// state (e.g. LRU's clock) — calling this half alone through a base
   /// reference would silently carry kernel state across simulations.
   void rebind_base(const workload::Catalog& catalog,
                    net::BandwidthEstimator& estimator) {
@@ -201,9 +201,8 @@ class UtilityPolicyBase : public CachePolicy {
 /// Default no-op hooks; kernels inherit and shadow what they need.
 /// Utilities and desired sizes <= 0 mean "do not cache".
 struct KernelBase {
-  /// Pre-size any per-object kernel state (LRU's recency array).
-  void bind(const CatalogView&) {}
-  /// Recency bookkeeping before utilities are computed.
+  /// Bookkeeping before the accessed object's utility is computed
+  /// (LRU's clock tick).
   void before_access(ObjectId, double) {}
   /// Forget learned kernel state.
   void reset() {}
@@ -218,10 +217,12 @@ struct KernelBase {
 };
 
 /// IF: Integral Frequency-based caching. Utility F_i, whole objects.
-/// Network-oblivious baseline (equivalent to in-cache LFU).
+/// Network-oblivious baseline: in-cache LFU, so the registry's "lfu"
+/// spec (§3.3's LFU baseline) runs this kernel under the name "LFU".
 struct IfKernel : KernelBase {
   static constexpr bool kIntegral = true;
-  [[nodiscard]] std::string name() const { return "IF"; }
+  explicit IfKernel(const char* name = "IF") : name_(name) {}
+  [[nodiscard]] std::string name() const { return name_; }
   [[nodiscard]] double utility(const CatalogView&, ObjectId, double freq,
                                double) const {
     return freq;
@@ -230,6 +231,9 @@ struct IfKernel : KernelBase {
                                      double) const {
     return v.size_bytes[id];
   }
+
+ private:
+  const char* name_;
 };
 
 /// PB: Partial Bandwidth-based caching (§2.4). Skips objects whose
@@ -331,32 +335,26 @@ struct IbvKernel : KernelBase {
   }
 };
 
-/// LRU over whole objects (network-oblivious baseline, §3.3).
+/// LRU over whole objects (network-oblivious baseline, §3.3). The
+/// engine asks for the utility of the accessed object only, right after
+/// before_access ticked the clock, so the key is that access's stamp;
+/// the heap keeps every cached object's stamp as its key.
 struct LruKernel : KernelBase {
   static constexpr bool kIntegral = true;
   [[nodiscard]] std::string name() const { return "LRU"; }
-  void bind(const CatalogView& v) { last_access_.assign(v.size, 0.0); }
-  void before_access(ObjectId id, double /*now_s*/) {
+  void before_access(ObjectId, double /*now_s*/) {
     clock_ += 1.0;  // logical clock: strictly increasing per access
-    last_access_[id] = clock_;
   }
-  void reset() {
-    std::fill(last_access_.begin(), last_access_.end(), 0.0);
-    clock_ = 0.0;
-  }
-  void save(std::vector<double>& blob) const {
-    blob.push_back(clock_);
-    blob.insert(blob.end(), last_access_.begin(), last_access_.end());
-  }
+  void reset() { clock_ = 0.0; }
+  void save(std::vector<double>& blob) const { blob.push_back(clock_); }
   [[nodiscard]] bool load(const std::vector<double>& blob) {
-    if (blob.size() != 1 + last_access_.size()) return false;
+    if (blob.size() != 1) return false;
     clock_ = blob[0];
-    std::copy(blob.begin() + 1, blob.end(), last_access_.begin());
     return true;
   }
-  [[nodiscard]] double utility(const CatalogView&, ObjectId id, double,
+  [[nodiscard]] double utility(const CatalogView&, ObjectId, double,
                                double) const {
-    return last_access_[id];
+    return clock_;
   }
   [[nodiscard]] double desired_bytes(const CatalogView& v, ObjectId id,
                                      double) const {
@@ -364,14 +362,7 @@ struct LruKernel : KernelBase {
   }
 
  private:
-  std::vector<double> last_access_;
   double clock_ = 0.0;
-};
-
-/// LFU over whole objects: identical to IF by construction; provided as a
-/// named baseline for the metrics discussion in §3.3.
-struct LfuKernel : IfKernel {
-  [[nodiscard]] std::string name() const { return "LFU"; }
 };
 
 /// Shared heap-based engine over a policy kernel. Admission evicts
@@ -386,9 +377,7 @@ class UtilityPolicy final : public UtilityPolicyBase {
                          net::BandwidthEstimator& estimator,
                          KernelArgs&&... kernel_args)
       : UtilityPolicyBase(catalog, estimator),
-        kernel_(std::forward<KernelArgs>(kernel_args)...) {
-    kernel_.bind(view_);
-  }
+        kernel_(std::forward<KernelArgs>(kernel_args)...) {}
 
   [[nodiscard]] std::string name() const override { return kernel_.name(); }
 
@@ -401,14 +390,13 @@ class UtilityPolicy final : public UtilityPolicyBase {
 
   /// Re-target at a new catalog + estimator and forget all learned
   /// state — the shared engine half (frequencies, heap) and the
-  /// kernel's own per-object state (e.g. LRU recency) — reusing every
-  /// piece of storage (arena reuse across the simulations one worker
-  /// executes). After rebind the policy is indistinguishable from a
-  /// freshly constructed one.
+  /// kernel's own state (e.g. LRU's clock) — reusing every piece of
+  /// storage (arena reuse across the simulations one worker executes).
+  /// After rebind the policy is indistinguishable from a freshly
+  /// constructed one.
   void rebind(const workload::Catalog& catalog,
               net::BandwidthEstimator& estimator) {
     rebind_base(catalog, estimator);
-    kernel_.bind(view_);
     kernel_.reset();
   }
 
@@ -426,10 +414,11 @@ class UtilityPolicy final : public UtilityPolicyBase {
 
   /// Validate-then-apply: the policy is mutated only after every shape
   /// check passes, so a rejected snapshot leaves it untouched. The heap
-  /// is rebuilt by pushing entries in id order — heap-internal layout
-  /// (sibling order among equal keys) may differ from the saved
-  /// instance, but the (id, key) set is identical, which is all the
-  /// engine's semantics depend on.
+  /// is rebuilt by pushing entries in id order, so it holds the saved
+  /// (id, key) set but not necessarily the saved layout. Among equal
+  /// keys the victim depends on that layout (the heap orders by key
+  /// alone), so a restored policy can evict another of several
+  /// equal-key objects than the saved one would have.
   bool load_state(const PolicySnapshot& state) override {
     const std::size_t n = freq_.size();
     if (state.freq.size() != n) return false;
@@ -547,6 +536,5 @@ using HybridPolicy = UtilityPolicy<HybridKernel>;
 using PbvPolicy = UtilityPolicy<PbvKernel>;
 using IbvPolicy = UtilityPolicy<IbvKernel>;
 using LruPolicy = UtilityPolicy<LruKernel>;
-using LfuPolicy = UtilityPolicy<LfuKernel>;
 
 }  // namespace sc::cache

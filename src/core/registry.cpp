@@ -171,9 +171,14 @@ Tables make_builtins() {
   t.policies.add(Kind::kPolicy,
                  {"lru", {}, "whole-object LRU baseline", {}},
                  simple_policy(cache::LruKernel{}));
-  t.policies.add(Kind::kPolicy,
-                 {"lfu", {}, "whole-object LFU baseline", {}},
-                 simple_policy(cache::LfuKernel{}));
+  // In-cache LFU is IF's rule: the same kernel under §3.3's name.
+  t.policies.add(
+      Kind::kPolicy, {"lfu", {}, "whole-object LFU baseline", {}},
+      [](const util::Spec&, const PolicyContext& ctx)
+          -> std::unique_ptr<cache::CachePolicy> {
+        return std::make_unique<cache::IfPolicy>(ctx.catalog, ctx.estimator,
+                                                 "LFU");
+      });
 
   // ---- estimators -------------------------------------------------------
   // Constructed as bare KernelEstimator instantiations, which the
@@ -203,8 +208,9 @@ Tables make_builtins() {
        "most recent observed throughput only",
        {"prior_kbps"}},
       [](const util::Spec& spec, EstimatorContext& ctx) {
-        return std::make_unique<net::KernelEstimator<net::LastSampleKernel>>(
-            ctx.paths.size(),
+        // An EWMA whose newest sample has weight 1 (net/estimator.h).
+        return std::make_unique<net::KernelEstimator<net::EwmaKernel>>(
+            ctx.paths.size(), 1.0,
             net::from_kb(spec.get_double("prior_kbps", kDefaultPriorKbps)));
       });
   t.estimators.add(

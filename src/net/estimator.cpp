@@ -14,13 +14,6 @@ EwmaKernel::EwmaKernel(std::size_t n_paths, double alpha, double prior)
   }
 }
 
-LastSampleKernel::LastSampleKernel(std::size_t n_paths, double prior)
-    : prior_(prior), last_(n_paths, -1.0) {
-  if (prior <= 0) {
-    throw std::invalid_argument("LastSampleEstimator: prior must be > 0");
-  }
-}
-
 ProbeKernel::ProbeKernel(const ProbeModel& model, double reprobe_interval_s,
                          util::Rng rng)
     : model_(&model),

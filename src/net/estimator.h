@@ -4,11 +4,11 @@
 // a bandwidth estimator. Each scheme is implemented twice over one body:
 //
 //   *Kernel structs  - non-virtual, header-inline state machines
-//                      (OracleKernel, EwmaKernel, LastSampleKernel,
-//                      ProbeKernel). The kernel engines of the simulation
-//                      dispatch (sim/arena.h) instantiate the request loop
-//                      over a kernel type, so estimate()/observe() compile
-//                      to direct inlined code and the "does this estimator
+//                      (OracleKernel, EwmaKernel, ProbeKernel). The
+//                      kernel engines of the simulation dispatch
+//                      (sim/arena.h) instantiate the request loop over a
+//                      kernel type, so estimate()/observe() compile to
+//                      direct inlined code and the "does this estimator
 //                      consume completion events?" question resolves at
 //                      compile time via Kernel::kUsesObservations (and
 //                      "per path?" via kPathLocalObservations, below).
@@ -19,17 +19,17 @@
 //                      it, keeps the estimator and rebinds its kernel
 //                      between simulations instead of rebuilding it. The
 //                      familiar names (OracleEstimator,
-//                      PassiveEwmaEstimator, LastSampleEstimator,
-//                      ActiveProbeEstimator) are aliases of it, and its
-//                      forwarding constructor takes each kernel's
-//                      constructor arguments.
+//                      PassiveEwmaEstimator, ActiveProbeEstimator) are
+//                      aliases of it, and its forwarding constructor
+//                      takes each kernel's constructor arguments.
 //
 // Schemes:
 //   OracleEstimator      - returns the true long-run mean (the paper's
 //                          idealized setting used in its simulations).
 //   PassiveEwmaEstimator - exponentially-weighted average of observed
 //                          per-transfer throughput (passive measurement).
-//   LastSampleEstimator  - most recent observed throughput only.
+//                          At alpha = 1 it keeps the most recent sample
+//                          only: the registry's "last" spec.
 //   ActiveProbeEstimator - probes via the TCP-throughput model with a
 //                          configurable re-probe interval (active
 //                          measurement with overhead accounting).
@@ -124,7 +124,9 @@ class OracleKernel {
   const PathModel* paths_;
 };
 
-/// Passive EWMA over observed transfer throughput.
+/// Passive EWMA over observed transfer throughput. At alpha = 1 the
+/// update is 1 * t + 0 * e = t exactly, so the estimate is the last
+/// sample (§2.7's last-sample estimator, the registry's "last" spec).
 class EwmaKernel {
  public:
   static constexpr bool kUsesObservations = true;
@@ -135,7 +137,7 @@ class EwmaKernel {
   EwmaKernel(std::size_t n_paths, double alpha, double prior);
 
   void observe(PathId path, double throughput, double /*now_s*/) {
-    if (throughput <= 0) return;
+    if (!(throughput > 0)) return;  // also drops a NaN sample
     double& e = estimates_.at(path);
     if (e <= 0) {
       e = throughput;
@@ -178,39 +180,6 @@ class EwmaKernel {
   double prior_;
   std::vector<double> estimates_;  // <= 0 means "never observed"
   std::size_t observed_count_ = 0;
-};
-
-/// Remembers only the most recent sample per path.
-class LastSampleKernel {
- public:
-  static constexpr bool kUsesObservations = true;
-  static constexpr bool kPathLocalObservations = true;
-
-  LastSampleKernel(std::size_t n_paths, double prior);
-
-  void observe(PathId path, double throughput, double /*now_s*/) {
-    if (throughput > 0) last_.at(path) = throughput;
-  }
-  [[nodiscard]] double estimate(PathId path, double /*now_s*/) const {
-    const double e = last_.at(path);
-    return e > 0 ? e : prior_;
-  }
-  [[nodiscard]] std::size_t overhead_packets() const { return 0; }
-
-  void rebind(const PathModel& paths, const util::Rng& /*rng*/) {
-    last_.assign(paths.size(), -1.0);
-  }
-
-  [[nodiscard]] std::vector<double> save_state() const { return last_; }
-  [[nodiscard]] bool load_state(const std::vector<double>& blob) {
-    if (blob.size() != last_.size()) return false;
-    last_ = blob;
-    return true;
-  }
-
- private:
-  double prior_;
-  std::vector<double> last_;
 };
 
 /// Probes a path actively when its estimate is older than
@@ -339,7 +308,6 @@ class KernelEstimator : public BandwidthEstimator {
 // exact adapter type, so it runs on the kernel engine.
 using OracleEstimator = KernelEstimator<OracleKernel>;
 using PassiveEwmaEstimator = KernelEstimator<EwmaKernel>;
-using LastSampleEstimator = KernelEstimator<LastSampleKernel>;
 using ActiveProbeEstimator = KernelEstimator<ProbeKernel>;
 
 }  // namespace sc::net

@@ -6,7 +6,7 @@
 // and picks the engine from the types it got back:
 //
 //   - exactly net::KernelEstimator<E> and cache::UtilityPolicy<P> for one
-//     of the 4 estimator kernels and 8 policy kernels listed below: the
+//     of the 3 estimator kernels and 7 policy kernels listed below: the
 //     (P, E) kernel engine. It keeps the built components and rebinds them
 //     for every later run, so estimate(), observe(), uses_observations()
 //     and the admission path are direct inlined code;
@@ -48,13 +48,14 @@ template <typename... Kernels>
 struct KernelList {};
 
 /// The built-in kernels: the types the registry's factories instantiate
-/// cache::UtilityPolicy and net::KernelEstimator over.
+/// cache::UtilityPolicy and net::KernelEstimator over. "lfu" runs on
+/// IfKernel and "last" on EwmaKernel (core/registry.cpp).
 using PolicyKernels =
     KernelList<cache::IfKernel, cache::PbKernel, cache::IbKernel,
                cache::HybridKernel, cache::PbvKernel, cache::IbvKernel,
-               cache::LruKernel, cache::LfuKernel>;
-using EstimatorKernels = KernelList<net::OracleKernel, net::EwmaKernel,
-                                    net::LastSampleKernel, net::ProbeKernel>;
+               cache::LruKernel>;
+using EstimatorKernels =
+    KernelList<net::OracleKernel, net::EwmaKernel, net::ProbeKernel>;
 
 /// What the run loop sees as "the policy": forwards on_access to the
 /// estimator-templated access body so the whole admission path inlines

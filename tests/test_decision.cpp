@@ -34,7 +34,6 @@ TEST(ObservationTraits, KernelTypesAreStaticallyClassified) {
   static_assert(ObservationTraits<net::OracleKernel>::kStaticallyDiscards);
   static_assert(ObservationTraits<net::ProbeKernel>::kStaticallyDiscards);
   static_assert(!ObservationTraits<net::EwmaKernel>::kStaticallyDiscards);
-  static_assert(!ObservationTraits<net::LastSampleKernel>::kStaticallyDiscards);
 }
 
 /// A wrapper that re-exports only kUsesObservations, as a timing
@@ -46,7 +45,6 @@ struct ReexportsUsesOnly {
 
 TEST(ObservationTraits, OnlyPathLocalKernelsDeferIntoPerPathLists) {
   static_assert(ObservationTraits<net::EwmaKernel>::kPathLocal);
-  static_assert(ObservationTraits<net::LastSampleKernel>::kPathLocal);
   static_assert(!ObservationTraits<net::OracleKernel>::kPathLocal);
   static_assert(!ObservationTraits<net::ProbeKernel>::kPathLocal);
   static_assert(!ObservationTraits<net::BandwidthEstimator>::kPathLocal);
@@ -185,21 +183,21 @@ TEST(DecisionKernel, PathLocalKernelTicksOnlyTheRequestedPath) {
 }
 
 TEST(DecisionKernel, PathLocalBlackoutFiltersOnTheDueTime) {
-  net::LastSampleKernel last(1, 777.0);
+  net::EwmaKernel last(1, 1.0, 777.0);  // alpha 1: last sample wins
   cache::PartialStore store(1e9);
   PathObservationLists events;
   workload::CatalogConfig cat_cfg;
   cat_cfg.num_objects = 1;
   util::Rng cat_rng(1);
   const auto catalog = workload::Catalog::generate(cat_cfg, cat_rng);
-  net::LastSampleEstimator virt(1, 777.0);
+  net::PassiveEwmaEstimator virt(1, 1.0, 777.0);
   const auto policy = core::registry::make_policy("lru", catalog, virt);
   net::FaultSchedule faults;
   faults.compile(net::FaultPlan::parse("fault:blackout=100+50"), 1, 0,
                  net::FaultScope{});
 
-  DecisionKernel<cache::CachePolicy, net::LastSampleKernel> kernel(
-      *policy, last, store, events);
+  DecisionKernel<cache::CachePolicy, net::EwmaKernel> kernel(*policy, last,
+                                                             store, events);
   kernel.set_faults(&faults);
   kernel.record_transfer(0, 100.0, 90.0);   // due before the window
   kernel.record_transfer(0, 200.0, 120.0);  // due inside it: dropped

@@ -436,7 +436,7 @@ TEST(PolicyState, MalformedSnapshotsAreRejectedNotApplied) {
   bad.heap.push_back({99, 1.0});  // id out of range
   EXPECT_FALSE(target.load_state(bad));
   bad = good;
-  bad.kernel.clear();  // LRU kernel blob must carry clock + recency
+  bad.kernel.clear();  // LRU kernel blob must carry its clock
   EXPECT_FALSE(target.load_state(bad));
   // After every rejection the target still loads the good state.
   EXPECT_TRUE(target.load_state(good));
@@ -451,9 +451,10 @@ TEST(EstimatorState, KernelsRoundTripAndRejectWrongShapes) {
   EXPECT_DOUBLE_EQ(other.estimate(1, 0.0), ewma.estimate(1, 0.0));
   EXPECT_FALSE(other.load_state(std::vector<double>(2, 1.0)));
 
-  net::LastSampleEstimator last(2, 10.0);
+  // Last-sample is the EWMA at alpha 1: the same blob, one per path.
+  net::PassiveEwmaEstimator last(2, 1.0, 10.0);
   last.observe(0, 30.0, 0.0);
-  net::LastSampleEstimator last2(2, 10.0);
+  net::PassiveEwmaEstimator last2(2, 1.0, 10.0);
   ASSERT_TRUE(last2.load_state(last.save_state()));
   EXPECT_DOUBLE_EQ(last2.estimate(0, 0.0), 30.0);
 }

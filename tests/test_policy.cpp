@@ -241,14 +241,16 @@ TEST(LruPolicy, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(store.contains(2));
 }
 
-TEST(LfuPolicy, MatchesIfSelection) {
+TEST(LfuPolicy, IsIfUnderItsOwnName) {
   const auto catalog = make_catalog(2);
   FakeEstimator est({1.0, 1.0});
-  LfuPolicy policy(catalog, est);
+  const auto policy = core::registry::make_policy("lfu", catalog, est);
+  EXPECT_NE(dynamic_cast<IfPolicy*>(policy.get()), nullptr);
+  EXPECT_EQ(policy->name(), "LFU");
   PartialStore store(1000.0);
-  policy.on_access(0, 0.0, store);
-  policy.on_access(0, 1.0, store);
-  policy.on_access(1, 2.0, store);  // F=1 < F=2: no displacement
+  policy->on_access(0, 0.0, store);
+  policy->on_access(0, 1.0, store);
+  policy->on_access(1, 2.0, store);  // F=1 < F=2: no displacement
   EXPECT_TRUE(store.contains(0));
   EXPECT_FALSE(store.contains(1));
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "net/bandwidth_model.h"
 #include "net/estimator.h"
 #include "net/probe.h"
@@ -113,14 +115,18 @@ TEST(PassiveEwma, IgnoresNonPositiveSamplesAndValidatesArgs) {
   PassiveEwmaEstimator est(1, 0.3, 50e3);
   est.observe(0, 0.0, 0.0);
   est.observe(0, -5.0, 0.0);
+  est.observe(0, std::nan(""), 0.0);
   EXPECT_DOUBLE_EQ(est.estimate(0, 1.0), 50e3);
+  est.observe(0, 80e3, 1.0);
+  est.observe(0, std::nan(""), 2.0);  // a NaN sample leaves no trace
+  EXPECT_DOUBLE_EQ(est.estimate(0, 3.0), 80e3);
   EXPECT_THROW(PassiveEwmaEstimator(1, 0.0, 50e3), std::invalid_argument);
   EXPECT_THROW(PassiveEwmaEstimator(1, 1.5, 50e3), std::invalid_argument);
   EXPECT_THROW(PassiveEwmaEstimator(1, 0.3, 0.0), std::invalid_argument);
 }
 
 TEST(LastSample, TracksLatestOnly) {
-  LastSampleEstimator est(1, 40e3);
+  PassiveEwmaEstimator est(1, 1.0, 40e3);  // alpha 1: the last sample
   EXPECT_DOUBLE_EQ(est.estimate(0, 0.0), 40e3);
   est.observe(0, 100e3, 1.0);
   est.observe(0, 70e3, 2.0);
