@@ -1,7 +1,10 @@
 #include "workload/trace.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <iomanip>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 namespace sc::workload {
@@ -42,6 +45,21 @@ std::string record_context(std::size_t objects_seen,
          std::to_string(requests_seen) + " request records)";
 }
 
+/// How many of `declared` records to reserve room for. The header's
+/// counts are checked only at end of file, so a hostile header must not
+/// drive an allocation: reserve no more records than the file could
+/// hold. No record is shorter than v1's "R 1 0", so a file whose header
+/// is honest keeps its full reservation.
+std::size_t reservable(std::size_t declared,
+                       const std::filesystem::path& path) {
+  constexpr std::uintmax_t kMinRecordBytes = 5;
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(
+      std::min<std::uintmax_t>(declared, bytes / kMinRecordBytes));
+}
+
 }  // namespace
 
 TraceReader::TraceReader(const std::filesystem::path& path,
@@ -60,7 +78,9 @@ TraceReader::TraceReader(const std::filesystem::path& path,
     fail("unsupported version \"" + version + "\" (known: v1, v2)");
   }
   has_view_ = version == "v2";
-  if (handling_ == kKeepObjects) objects_.reserve(num_objects_);
+  if (handling_ == kKeepObjects) {
+    objects_.reserve(reservable(num_objects_, path_));
+  }
 }
 
 void TraceReader::parse_object_record() {
@@ -148,7 +168,7 @@ Workload read_trace(const std::filesystem::path& path) {
   TraceReader reader(path, TraceReader::kKeepObjects);
 
   std::vector<Request> requests;
-  requests.reserve(reader.declared_requests());
+  requests.reserve(reservable(reader.declared_requests(), path));
   constexpr std::size_t kChunk = 8192;
   std::vector<double> time_s(kChunk), view_s(kChunk);
   std::vector<ObjectId> object(kChunk);

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 
+#include "core/registry.h"
 #include "workload/generator.h"
+#include "workload/request_stream.h"
 #include "workload/trace.h"
 #include "workload/workload_stats.h"
 
@@ -248,10 +251,13 @@ TEST(TraceIo, RejectsMalformedFilesWithUsefulMessages) {
   };
   // Every rejection must throw std::runtime_error whose message names
   // the file and contains `hint` about what went wrong.
-  const auto expect_rejects = [](const std::filesystem::path& p,
-                                 const std::string& hint) {
+  using Load = std::function<void(const std::filesystem::path&)>;
+  const Load by_read_trace = [](const auto& p) { (void)read_trace(p); };
+  const auto expect_rejects = [&](const std::filesystem::path& p,
+                                  const std::string& hint,
+                                  const Load& load = nullptr) {
     try {
-      (void)read_trace(p);
+      (load ? load : by_read_trace)(p);
       FAIL() << p << ": expected runtime_error mentioning \"" << hint << "\"";
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
@@ -301,11 +307,32 @@ TEST(TraceIo, RejectsMalformedFilesWithUsefulMessages) {
                             "streamcache-trace v2 0 0\nX 1 2 3\n"),
                  "unknown record tag");
 
+  // The header's counts are checked only at end of file, so a hostile
+  // count must not drive an allocation before that: on every entry
+  // point these fail the count check, not with std::bad_alloc.
+  const Load by_trace_file = [](const auto& p) {
+    (void)RequestStream::trace_file(p);
+  };
+  const Load by_scenario = [](const auto& p) {
+    (void)core::registry::make_scenario("trace:file=" + p.string());
+  };
+  for (const auto& hostile :
+       {write_file("sc_huge_objects.txt",
+                   "streamcache-trace v2 1000000000000 1\n"
+                   "O 0 10 5 1 0\nR 1.0 0 -1\n"),
+        write_file("sc_huge_requests.txt",
+                   "streamcache-trace v2 1 1000000000000\n"
+                   "O 0 10 5 1 0\nR 1.0 0 -1\n")}) {
+    for (const Load& load : {by_read_trace, by_trace_file, by_scenario}) {
+      expect_rejects(hostile, "record count mismatch", load);
+    }
+  }
+
   for (const auto& n :
        {"sc_bad_magic.txt", "sc_bad_version.txt", "sc_bad_ref.txt",
         "sc_regress.txt", "sc_count.txt", "sc_truncated.txt",
         "sc_truncated_obj.txt", "sc_sparse_ids.txt", "sc_bad_path.txt",
-        "sc_bad_tag.txt"}) {
+        "sc_bad_tag.txt", "sc_huge_objects.txt", "sc_huge_requests.txt"}) {
     std::filesystem::remove(dir / n);
   }
 }
