@@ -15,18 +15,6 @@ std::size_t resolve_threads(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-std::atomic<std::size_t> g_default_threads{0};  // 0 = hardware concurrency
-
-std::mutex& shared_pool_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::unique_ptr<ThreadPool>& shared_pool_slot() {
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
-}
-
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -140,25 +128,10 @@ void ThreadPool::parallel_for_slots(
 }
 
 ThreadPool& ThreadPool::shared() {
-  std::lock_guard<std::mutex> lock(shared_pool_mutex());
-  auto& slot = shared_pool_slot();
-  if (!slot) {
-    slot = std::make_unique<ThreadPool>(g_default_threads.load());
-  }
-  return *slot;
+  static ThreadPool pool(0);
+  return pool;
 }
 
-void ThreadPool::set_default_threads(std::size_t threads) {
-  std::lock_guard<std::mutex> lock(shared_pool_mutex());
-  g_default_threads.store(threads);
-  auto& slot = shared_pool_slot();
-  if (slot && slot->thread_count() != resolve_threads(threads)) {
-    slot.reset();  // rebuilt lazily by the next shared() call
-  }
-}
-
-std::size_t ThreadPool::default_threads() {
-  return resolve_threads(g_default_threads.load());
-}
+std::size_t ThreadPool::default_threads() { return resolve_threads(0); }
 
 }  // namespace sc::util

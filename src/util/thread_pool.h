@@ -72,12 +72,9 @@ class ThreadPool {
   /// parallelism never oversubscribes the machine.
   [[nodiscard]] static ThreadPool& shared();
 
-  /// Worker count `shared()` is (or will be) built with. Setting it after
-  /// the shared pool exists rebuilds the pool, which must be idle. Note
-  /// the bench `--threads=N` flag does not go through here: an explicit
-  /// N > 1 gets a dedicated pool inside the sweep engine; this knob only
-  /// resizes what `--threads=0` (the shared pool) resolves to.
-  static void set_default_threads(std::size_t threads);
+  /// Worker count of `shared()`: the hardware concurrency (at least 1).
+  /// A bench's `--threads=N > 1` gets a dedicated pool inside the sweep
+  /// engine instead; `--threads=0` means this pool.
   [[nodiscard]] static std::size_t default_threads();
 
  private:
