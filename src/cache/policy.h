@@ -221,6 +221,7 @@ struct KernelBase {
 /// spec (§3.3's LFU baseline) runs this kernel under the name "LFU".
 struct IfKernel : KernelBase {
   static constexpr bool kIntegral = true;
+  /// `name` is kept by pointer, so it must be a string literal.
   explicit IfKernel(const char* name = "IF") : name_(name) {}
   [[nodiscard]] std::string name() const { return name_; }
   [[nodiscard]] double utility(const CatalogView&, ObjectId, double freq,

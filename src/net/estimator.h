@@ -125,8 +125,9 @@ class OracleKernel {
 };
 
 /// Passive EWMA over observed transfer throughput. At alpha = 1 the
-/// update is 1 * t + 0 * e = t exactly, so the estimate is the last
-/// sample (§2.7's last-sample estimator, the registry's "last" spec).
+/// update is 1 * t + 0 * e = t exactly for finite samples, so the
+/// estimate is the last sample (§2.7's last-sample estimator, the
+/// registry's "last" spec).
 class EwmaKernel {
  public:
   static constexpr bool kUsesObservations = true;

@@ -279,7 +279,8 @@ TEST(EngineDispatch, LfuRunsIfsRuleUnderItsOwnName) {
   const auto w = workload::generate_workload(wcfg, wl_rng);
   SimulationConfig sim_cfg;
   sim_cfg.estimator = "ewma";
-  sim_cfg.cache_capacity_bytes = core::capacity_for_fraction(wcfg.catalog, 0.05);
+  sim_cfg.cache_capacity_bytes =
+      core::capacity_for_fraction(wcfg.catalog, 0.05);
   sim_cfg.path_config.mode = scenario.mode;
   sim_cfg.seed = 303;
   sim_cfg.policy = "if";
