@@ -24,7 +24,7 @@
 // Deferred completion observations wait in one of two stores
 // (sim/event_queue.h), picked by the estimator's type. An estimator
 // kernel that declares kPathLocalObservations (net/estimator.h: EWMA
-// and last-sample) gets per-path lists, and tick_path() delivers only
+// only) gets per-path lists, and tick_path() delivers only
 // the requested path's due observations, just before that path is
 // estimated. That is exact: such a kernel's observe() touches only its
 // own path's state and ignores the time, and the policy estimates only

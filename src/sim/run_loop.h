@@ -27,8 +27,8 @@
 //     cache::UtilityPolicy<Kernel>, Estimator = a concrete estimator
 //     kernel. Every per-request call (estimate, observe, utility,
 //     admission) inlines, and the "schedule a completion event?" branch
-//     resolves at compile time via ObservationTraits. For the EWMA and
-//     last-sample kernels it also picks per-path observation lists
+//     resolves at compile time via ObservationTraits. For the EWMA
+//     kernel it also picks per-path observation lists
 //     (sim/decision.h): each request delivers only its own path's due
 //     observations, with no global heap to sift.
 //   - components of any other type (user-registered ones): Policy = the
